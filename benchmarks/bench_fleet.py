@@ -26,7 +26,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.inversion import quantiles_from_mgf
+from repro.core.inversion import quantiles_from_mgfs
 from repro.engine import Engine
 from repro.fleet import Fleet, Request
 from repro.scenarios import get_scenario
@@ -62,7 +62,7 @@ def test_fleet_vs_per_engine_dispatch(benchmark):
     for preset in PRESETS:
         models = models_by_preset[preset]
         wrappers = [CountingMgf(model.queueing_mgf) for model in models]
-        queueing = quantiles_from_mgf(
+        queueing = quantiles_from_mgfs(
             wrappers,
             PROBABILITY,
             scale_hints=[model._inversion_scale_hint for model in models],

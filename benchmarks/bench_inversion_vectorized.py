@@ -21,7 +21,7 @@ import time
 
 import pytest
 
-from repro.core.inversion import quantile_from_mgf, quantiles_from_mgf
+from repro.core.inversion import quantile_from_mgf, quantiles_from_mgfs
 from repro.scenarios import Scenario, default_load_grid
 from repro.testing import CountingMgf
 
@@ -72,7 +72,7 @@ def test_vectorized_inversion_vs_scalar(benchmark):
     vector_calls = [calls for _, calls in vector_results]
 
     # -- the batch entry point the Engine uses --------------------------
-    batch_quantiles = quantiles_from_mgf(
+    batch_quantiles = quantiles_from_mgfs(
         [model.queueing_mgf for model in models],
         PROBABILITY,
         scale_hints=[model._inversion_scale_hint for model in models],

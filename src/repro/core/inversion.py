@@ -31,17 +31,14 @@ every MGF in this code base is — all abscissae are evaluated in a
   accept scalar ``complex``);
 * :func:`tails_from_mgf` assembles the abscissae of a whole grid of
   points into one array and recovers every tail probability from a
-  single MGF call;
-* :func:`quantiles_from_mgf` runs the memoized quantile search of
-  :func:`quantile_from_mgf` over a sequence of transforms (one per
-  operating point), returning floats identical to the scalar API.
+  single MGF call.
 
 Stacked API (cross-transform batching)
 --------------------------------------
 
 The batched API above still spends one array call per *transform*: a
 multi-scenario sweep with ``N`` operating points performs ``N`` array
-evaluations per lockstep of the search.  The stacked API collapses the
+evaluations per step of the search.  The stacked API collapses the
 remaining axis — the *transform* index — as well:
 
 * :func:`tails_from_mgfs` takes a **list** of transforms with one point
@@ -51,16 +48,29 @@ remaining axis — the *transform* index — as well:
   recovers every tail of every transform from **one** array evaluation;
   without a joint evaluator it degrades gracefully to one array call
   per transform;
-* :func:`quantiles_from_mgfs` runs all per-transform quantile searches
-  in *lockstep*: each search executes the very same bracketing/brentq
-  body as :func:`quantile_from_mgf` (in its own worker thread, used
-  purely as a control-flow device), but every round of outstanding tail
-  evaluations — one point per still-active search — is served by a
-  single stacked array evaluation.  Because the stacked arithmetic is
-  bit-identical per row to the per-transform path (same elementwise
-  kernels, same reduction lengths, same weights), every search follows
-  the exact trajectory of its scalar counterpart and the returned
-  quantiles are the very same floats.
+* :func:`quantiles_from_mgfs` runs one quantile search per transform
+  in *lockstep*: every round of outstanding tail evaluations — one
+  point per still-active search — is served by a single stacked array
+  evaluation.
+
+Quantile searches
+-----------------
+
+A quantile is a search: double a bracket from a scale hint until the
+tail drops below ``1 - p``, then run Brent's method (Brent 1973) on the
+tail.  The search is a generator (:func:`_quantile_search`) that yields
+each tail point it needs and is sent the tail value back; Brent's
+method itself is a port of scipy's ``brentq.c`` written the same way
+(:func:`_brent`), so a search can be suspended between any two
+evaluations.  One driver loop (:func:`_drive`) advances a batch of
+searches round by round and answers each round with one evaluation:
+:func:`quantile_from_mgf` is that driver with a batch of one and a
+:func:`tail_from_mgf` call per point, :func:`quantiles_from_mgfs` the
+same driver with one stacked evaluation per round.  Because the stacked
+arithmetic is bit-identical per row to the per-transform path (same
+elementwise kernels, same reduction lengths, same weights), every
+search follows the exact trajectory of its scalar counterpart and
+returns the very same float.
 
 Two properties of these kernels carry the plan/execute split of the
 serving layer (:func:`repro.core.rtt.execute_plan`,
@@ -71,9 +81,9 @@ serving layer (:func:`repro.core.rtt.execute_plan`,
   replay the exact same evaluation in any process; and
 * a transform's search trajectory is **independent of its round
   mates** — which transforms happen to share the stacked rounds (the
-  ``max_workers`` chunking here, or the plan chunking one layer up)
-  cannot change a single returned bit, which is what makes answers
-  identical for every executor and worker count.
+  plan chunking one layer up) cannot change a single returned bit,
+  which is what makes answers identical for every executor and worker
+  count.
 
 Error bounds (Abate & Whitt 1995): the discretization error is bounded
 by ``exp(-A) / (1 - exp(-A))`` (~1e-8 for the default ``A = 18.4``); the
@@ -90,12 +100,10 @@ the benchmark suite).
 from __future__ import annotations
 
 import math
-import threading
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Union
 
 import numpy as np
-from scipy import optimize
 
 from ..errors import ParameterError
 
@@ -105,7 +113,6 @@ __all__ = [
     "tails_from_mgf",
     "tails_from_mgfs",
     "quantile_from_mgf",
-    "quantiles_from_mgf",
     "quantiles_from_mgfs",
 ]
 
@@ -573,181 +580,215 @@ def tails_from_mgfs(
     return [out.reshape(grid.shape) for out, grid in zip(outs, grids)]
 
 
-class _LockstepAborted(RuntimeError):
-    """Internal: unwinds a lockstep worker whose round evaluation failed."""
 
 
-class _LockstepTailBatcher:
-    """Round-based rendezvous of the lockstep quantile searches.
+# ----------------------------------------------------------------------
+# Quantile searches: suspendable Brent, one driver for every batch size
+# ----------------------------------------------------------------------
+#: Relative tolerance of :func:`_brent`, scipy's ``brentq`` default.
+_BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
 
-    Each active search submits exactly one pending tail point and
-    blocks; when every active search has either submitted or finished,
-    the round fires: one stacked evaluation serves all pending points
-    and every search resumes.  The worker threads are a control-flow
-    device only (scipy's ``brentq`` cannot be suspended mid-search from
-    Python) — rounds are serialized under the condition lock, so the
-    evaluation order, and therefore every float, is deterministic.
+#: A suspended search: yields the point it needs ``f`` at, is sent
+#: ``f(point)``, and returns its result.
+Search = Generator[float, float, float]
+
+
+def _brent(xa: float, xb: float, xtol: float, maxiter: int = 100) -> Search:
+    """Brent's root finder (Brent 1973, ch. 4) as a suspendable search.
+
+    A line-by-line port of scipy's ``brentq.c``: it yields each point
+    ``x`` where it needs the function and is sent ``f(x)`` back, so many
+    searches can be advanced together by one driver loop (see
+    :func:`_drive`).  Given the same function values it visits the same
+    points and returns the same float as ``scipy.optimize.brentq(f, xa,
+    xb, xtol=xtol, maxiter=maxiter)``, and raises where it does:
+    ``ValueError`` for a NaN value or for ``f(xa)`` and ``f(xb)`` of the
+    same sign, ``RuntimeError`` once ``maxiter`` iterations are spent.
     """
 
-    def __init__(self, evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> None:
-        self._evaluate = evaluate
-        self._condition = threading.Condition()
-        self._active = 0
-        self._pending: Dict[int, float] = {}
-        self._served: Dict[int, float] = {}
-        self._failure: Optional[BaseException] = None
+    def value(x: float, fx: float) -> float:
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
 
-    def register(self) -> None:
-        with self._condition:
-            self._active += 1
-
-    def deregister(self) -> None:
-        with self._condition:
-            self._active -= 1
-            self._fire_if_ready()
-
-    def request(self, slot: int, x: float) -> float:
-        """Submit one tail point and block until its round is served."""
-        with self._condition:
-            if self._failure is not None:
-                raise _LockstepAborted()
-            self._pending[slot] = x
-            self._fire_if_ready()
-            while slot not in self._served:
-                if self._failure is not None:
-                    raise _LockstepAborted()
-                self._condition.wait()
-            return self._served.pop(slot)
-
-    def _fire_if_ready(self) -> None:
-        # A round fires once every active worker has a pending request;
-        # workers that finished (deregistered) no longer hold it back.
-        if not self._pending or len(self._pending) < self._active:
-            return
-        slots = sorted(self._pending)
-        xs = np.asarray([self._pending[slot] for slot in slots], dtype=float)
-        self._pending.clear()
+    def div(numerator: float, denominator: float) -> float:
+        # C division: a zero denominator (e.g. an underflowed slope
+        # product) gives an infinity or NaN, which then fails the step
+        # test below, instead of raising.
         try:
-            values = self._evaluate(np.asarray(slots, dtype=np.intp), xs)
-        except BaseException as exc:  # propagate to every waiting worker
-            self._failure = exc
-            self._condition.notify_all()
-            return
-        for slot, value in zip(slots, values):
-            self._served[slot] = float(value)
-        self._condition.notify_all()
+            return numerator / denominator
+        except ZeroDivisionError:
+            if numerator == 0.0 or math.isnan(numerator):
+                return math.nan
+            return math.copysign(math.inf, numerator) * math.copysign(1.0, denominator)
 
-    @property
-    def failure(self) -> Optional[BaseException]:
-        return self._failure
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre = value(xpre, (yield xpre))
+    fcur = value(xcur, (yield xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = div(-fcur * (xcur - xpre), fcur - fpre)
+            else:
+                # extrapolate
+                dpre = div(fpre - fcur, xpre - xcur)
+                dblk = div(fblk - fcur, xblk - xcur)
+                stry = div(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = value(xcur, (yield xcur))
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
-def quantiles_from_mgfs(
+def _quantile_search(probability: float, scale_hint: float, tolerance: float) -> Search:
+    """The bracketing + Brent quantile search over a memoized tail.
+
+    Yields every *distinct* tail point it needs, in order, and is sent
+    ``P(X > x)`` back; returns the quantile.  The bracket doubles from
+    ``scale_hint`` and remembers its last failed doubling as the lower
+    end, and the memo answers Brent's two endpoint evaluations, so no
+    point is asked for twice.  Every quantile of the module is one of
+    these searches, driven by :func:`_drive`: the trajectory depends
+    only on the tail values it is sent, never on how many searches
+    share a round or how the values were computed.
+    """
+    if not 0.0 < probability < 1.0:
+        raise ParameterError("probability must lie in (0, 1)")
+    if scale_hint <= 0.0:
+        raise ParameterError("scale_hint must be positive")
+    target = 1.0 - probability
+    memo: Dict[float, float] = {}
+
+    def tail(x: float) -> Search:
+        value = memo.get(x)
+        if value is None:
+            value = memo[x] = yield x
+        return value
+
+    if (yield from tail(0.0)) <= target:
+        return 0.0
+    lower = 0.0
+    upper = scale_hint
+    for _ in range(200):
+        if (yield from tail(upper)) < target:
+            break
+        lower = upper
+        upper *= 2.0
+    else:
+        raise ParameterError("could not bracket the requested quantile")
+    brent = _brent(lower, upper, tolerance)
+    x = next(brent)
+    while True:
+        fx = (yield from tail(x)) - target
+        try:
+            x = brent.send(fx)
+        except StopIteration as stop:
+            return stop.value
+
+
+def _drive(
+    searches: Sequence[Search],
+    evaluate: Callable[[List[int], List[float]], Sequence[float]],
+) -> List[float]:
+    """Run suspended searches to completion, one round at a time.
+
+    Every round collects the pending point of each still-active search
+    (in search order), answers them all with one ``evaluate(indices,
+    xs)`` call and sends each value back.  A search that raises aborts
+    the whole batch with its exception.
+    """
+    results = [0.0] * len(searches)
+    pending: List[tuple] = []
+
+    def resume(index: int, value: Optional[float]) -> None:
+        try:
+            pending.append((index, searches[index].send(value)))
+        except StopIteration as stop:
+            results[index] = float(stop.value)
+
+    for index in range(len(searches)):
+        resume(index, None)
+    while pending:
+        indices = [index for index, _ in pending]
+        values = evaluate(indices, [x for _, x in pending])
+        pending.clear()
+        for index, value in zip(indices, values):
+            resume(index, float(value))
+    return results
+
+
+def _quantiles(
     mgfs: Sequence[Callable[[complex], complex]],
     probability: float,
-    scale_hints: Union[float, Sequence[float]],
-    atoms_at_zero: Optional[Sequence[Optional[float]]] = None,
-    tolerance: float = 1e-10,
-    *,
-    stack_eval: Optional[StackEval] = None,
-    max_workers: int = 64,
+    hints: Sequence[float],
+    atoms: Sequence[Optional[float]],
+    tolerance: float,
+    stack_eval: Optional[StackEval],
 ) -> List[float]:
-    """Quantiles of many transforms through the stacked lockstep search.
+    """One quantile search per transform, all driven in lockstep.
 
-    Runs one :func:`quantile_from_mgf`-identical search per transform,
-    but synchronizes them so that every round of outstanding tail
-    evaluations (one point per still-active search) is served by a
-    single ``stack_eval`` array evaluation instead of one array call per
-    transform.  The search body, the tail memoization and the stacked
-    tail arithmetic are all shared with the scalar API, so the returned
-    floats are identical to per-transform :func:`quantile_from_mgf`
-    calls — the lockstep is an optimisation, not an approximation.
-
-    With ``stack_eval=None`` this simply delegates to the sequential
-    :func:`quantiles_from_mgf`.  Batches larger than ``max_workers``
-    are processed in independent lockstep chunks (per-transform results
-    do not depend on which other transforms share their rounds).
+    Without ``stack_eval`` each pending point is a :func:`tail_from_mgf`
+    call on its own transform.  With it, every round's positive finite
+    points are answered by one :func:`_stacked_tail_rows` evaluation;
+    the special points (zero, negative, non-finite) never need the
+    transform, so :func:`tail_from_mgf` answers them directly.
     """
-    mgfs = list(mgfs)
-    if np.isscalar(scale_hints):
-        hints = [float(scale_hints)] * len(mgfs)
-    else:
-        hints = [float(h) for h in scale_hints]
-    if atoms_at_zero is None:
-        atoms: Sequence[Optional[float]] = [None] * len(mgfs)
-    else:
-        atoms = list(atoms_at_zero)
-    if len(hints) != len(mgfs) or len(atoms) != len(mgfs):
-        raise ParameterError(
-            "scale_hints and atoms_at_zero must match the number of transforms"
-        )
-    if stack_eval is None:
-        return quantiles_from_mgf(
-            mgfs, probability, hints, atoms, tolerance=tolerance
-        )
-    if max_workers < 1:
-        raise ParameterError("max_workers must be at least 1")
+    searches = [_quantile_search(probability, hint, tolerance) for hint in hints]
 
-    results: List[Optional[float]] = [None] * len(mgfs)
-    errors: List[Optional[BaseException]] = [None] * len(mgfs)
+    def each(indices: List[int], xs: List[float]) -> List[float]:
+        return [
+            tail_from_mgf(mgfs[i], x, atom_at_zero=atoms[i]) for i, x in zip(indices, xs)
+        ]
 
-    def run_chunk(chunk: Sequence[int]) -> None:
-        batcher = _LockstepTailBatcher(
-            lambda indices, xs: _stacked_tail_rows(
-                stack_eval, indices, xs, _EULER_A, _EULER_N, _EULER_M
+    def stacked(indices: List[int], xs: List[float]) -> np.ndarray:
+        points = np.asarray(xs, dtype=float)
+        rows = (points > 0.0) & np.isfinite(points)
+        values = np.zeros(len(xs))
+        for j in np.nonzero(~rows)[0]:
+            values[j] = tail_from_mgf(mgfs[indices[j]], xs[j], atom_at_zero=atoms[indices[j]])
+        if rows.any():
+            values[rows] = _stacked_tail_rows(
+                stack_eval,
+                np.asarray(indices, dtype=np.intp)[rows],
+                points[rows],
+                _EULER_A,
+                _EULER_N,
+                _EULER_M,
             )
-        )
+        return values
 
-        def worker(index: int) -> None:
-            cache: Dict[float, float] = {}
-            mgf = mgfs[index]
-            atom = atoms[index]
-
-            def tail(x: float) -> float:
-                value = cache.get(x)
-                if value is None:
-                    # Mirror tail_from_mgf's special points; only positive
-                    # finite points reach the stacked rounds.
-                    if x < 0.0:
-                        value = 1.0
-                    elif not math.isfinite(x):
-                        value = 0.0
-                    elif x == 0.0:
-                        mass = _atom_limit(mgf) if atom is None else float(atom)
-                        value = min(1.0, max(0.0, 1.0 - mass))
-                    else:
-                        value = batcher.request(index, x)
-                    cache[x] = value
-                return value
-
-            try:
-                results[index] = _quantile_search(
-                    tail, probability, hints[index], tolerance
-                )
-            except BaseException as exc:
-                errors[index] = exc
-            finally:
-                batcher.deregister()
-
-        threads = []
-        for index in chunk:
-            batcher.register()
-            threads.append(threading.Thread(target=worker, args=(index,)))
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if batcher.failure is not None:
-            raise batcher.failure
-        for index in chunk:
-            error = errors[index]
-            if error is not None:
-                raise error
-
-    order = list(range(len(mgfs)))
-    for start in range(0, len(order), max_workers):
-        run_chunk(order[start : start + max_workers])
-    return [float(value) for value in results]  # type: ignore[arg-type]
+    return _drive(searches, each if stack_eval is None else stacked)
 
 
 def quantile_from_mgf(
@@ -763,7 +804,7 @@ def quantile_from_mgf(
     and the bracketing loop remembers its last failed doubling as the
     lower bracket, so no point is inverted twice: the historical
     implementation re-evaluated the same tails up to three times (the
-    ``upper / 2`` bracket re-check plus both ``brentq`` endpoints).
+    ``upper / 2`` bracket re-check plus both Brent endpoints).
 
     Parameters
     ----------
@@ -782,69 +823,31 @@ def quantile_from_mgf(
         Optional known probability mass at zero, forwarded to
         :func:`tail_from_mgf`.
     """
-    cache: dict = {}
-
-    def tail(x: float) -> float:
-        value = cache.get(x)
-        if value is None:
-            value = tail_from_mgf(mgf, x, atom_at_zero=atom_at_zero)
-            cache[x] = value
-        return value
-
-    return _quantile_search(tail, probability, scale_hint, tolerance)
+    return _quantiles(
+        [mgf], probability, [float(scale_hint)], [atom_at_zero], tolerance, None
+    )[0]
 
 
-def _quantile_search(
-    tail: Callable[[float], float],
-    probability: float,
-    scale_hint: float,
-    tolerance: float,
-) -> float:
-    """The shared bracketing + ``brentq`` search over a memoized tail.
-
-    This single body backs both the scalar :func:`quantile_from_mgf`
-    and every lockstep worker of :func:`quantiles_from_mgfs`; injecting
-    the tail evaluator is what guarantees the two paths follow the very
-    same probe sequence (and therefore return the very same floats)
-    whenever their tail values agree bitwise.
-    """
-    if not 0.0 < probability < 1.0:
-        raise ParameterError("probability must lie in (0, 1)")
-    if scale_hint <= 0.0:
-        raise ParameterError("scale_hint must be positive")
-    target = 1.0 - probability
-    if tail(0.0) <= target:
-        return 0.0
-    lower = 0.0
-    upper = scale_hint
-    for _ in range(200):
-        if tail(upper) < target:
-            break
-        lower = upper
-        upper *= 2.0
-    else:
-        raise ParameterError("could not bracket the requested quantile")
-    return float(
-        optimize.brentq(lambda x: tail(x) - target, lower, upper, xtol=tolerance)
-    )
-
-
-def quantiles_from_mgf(
+def quantiles_from_mgfs(
     mgfs: Sequence[Callable[[complex], complex]],
     probability: float,
     scale_hints: Union[float, Sequence[float]],
     atoms_at_zero: Optional[Sequence[Optional[float]]] = None,
     tolerance: float = 1e-10,
-):
-    """Batch quantiles over a sequence of MGFs (one per operating point).
+    *,
+    stack_eval: Optional[StackEval] = None,
+) -> List[float]:
+    """Quantiles of many transforms, searched in lockstep.
 
-    Each point runs the same memoized search as :func:`quantile_from_mgf`
-    — the batch is float-identical to the scalar API — with the Euler
-    weight vector shared across the whole batch and every tail
-    evaluation performed in a single array call against its transform.
-    This is the entry point :meth:`repro.engine.Engine.sweep` and
-    :meth:`~repro.engine.Engine.rtt_quantiles` use to evaluate a load
-    grid.
+    Runs one :func:`quantile_from_mgf` search per transform (a scalar
+    ``scale_hints`` is shared by all) and advances them together: with
+    a joint evaluator ``stack_eval`` (e.g.
+    :class:`repro.core.rtt.QueueingMgfStack`), every round of
+    outstanding tail points — one per still-active search — costs a
+    single array evaluation instead of one array call per transform.
+    The stacked tail arithmetic is bit-identical per row, so the
+    returned floats are those of per-transform :func:`quantile_from_mgf`
+    calls: the lockstep is an optimisation, not an approximation.
     """
     mgfs = list(mgfs)
     if np.isscalar(scale_hints):
@@ -859,9 +862,4 @@ def quantiles_from_mgf(
         raise ParameterError(
             "scale_hints and atoms_at_zero must match the number of transforms"
         )
-    return [
-        quantile_from_mgf(
-            mgf, probability, hint, tolerance=tolerance, atom_at_zero=atom
-        )
-        for mgf, hint, atom in zip(mgfs, hints, atoms)
-    ]
+    return _quantiles(mgfs, probability, hints, atoms, tolerance, stack_eval)

@@ -12,7 +12,7 @@ from repro.core.inversion import (
     _euler_weights,
     euler_laplace_inversion,
     quantile_from_mgf,
-    quantiles_from_mgf,
+    quantiles_from_mgfs,
     tail_from_mgf,
     tails_from_mgf,
 )
@@ -368,7 +368,7 @@ class TestQuantilesBatch:
             ErlangTermSum.erlang_mixture([0.3, 0.7], [2, 5], rate=3.0),
             ErlangTermSum.exponential(1.5, weight=0.6, atom=0.4),
         ]
-        batch = quantiles_from_mgf(
+        batch = quantiles_from_mgfs(
             [d.mgf for d in dists],
             0.9999,
             scale_hints=[d.mean() for d in dists],
@@ -384,7 +384,7 @@ class TestQuantilesBatch:
 
     def test_scalar_hint_broadcasts(self):
         dists = [ErlangTermSum.erlang(2, 1.0), ErlangTermSum.erlang(3, 1.0)]
-        batch = quantiles_from_mgf([d.mgf for d in dists], 0.999, scale_hints=1.0)
+        batch = quantiles_from_mgfs([d.mgf for d in dists], 0.999, scale_hints=1.0)
         assert batch == [
             quantile_from_mgf(d.mgf, 0.999, scale_hint=1.0) for d in dists
         ]
@@ -392,4 +392,4 @@ class TestQuantilesBatch:
     def test_rejects_mismatched_lengths(self):
         dist = ErlangTermSum.erlang(2, 1.0)
         with pytest.raises(ParameterError):
-            quantiles_from_mgf([dist.mgf], 0.999, scale_hints=[1.0, 2.0])
+            quantiles_from_mgfs([dist.mgf], 0.999, scale_hints=[1.0, 2.0])

@@ -181,17 +181,19 @@ class TestLockstepQuantiles:
         assert stacked == scalar
 
     def test_chunking_does_not_change_the_floats(self):
+        # A search's trajectory does not depend on its round mates.
+        def lockstep(models):
+            stack = QueueingMgfStack(models)
+            return quantiles_from_mgfs(
+                [m.queueing_mgf for m in models],
+                PROBABILITY,
+                scale_hints=stack.scale_hints(),
+                atoms_at_zero=stack.atoms_at_zero(),
+                stack_eval=stack,
+            )
+
         models = _mixed_models()[:5]
-        stack = QueueingMgfStack(models)
-        kwargs = dict(
-            scale_hints=stack.scale_hints(),
-            atoms_at_zero=stack.atoms_at_zero(),
-            stack_eval=stack,
-        )
-        mgfs = [m.queueing_mgf for m in models]
-        whole = quantiles_from_mgfs(mgfs, PROBABILITY, **kwargs)
-        chunked = quantiles_from_mgfs(mgfs, PROBABILITY, max_workers=2, **kwargs)
-        assert whole == chunked
+        assert lockstep(models) == lockstep(models[:2]) + lockstep(models[2:])
 
     def test_lockstep_uses_fewer_array_calls(self):
         models = _mixed_models()
