@@ -136,6 +136,11 @@ class DEKOneQueue:
         zetas = self.roots
         weights: List[complex] = []
         for j, zeta_j in enumerate(zetas):
+            if zeta_j == 0:
+                # A root that underflowed to 0 (very low load) carries
+                # weight zeta_j**K * ... = 0: the empty-queue limit.
+                weights.append(0j)
+                continue
             product = 1.0 + 0.0j
             for k, zeta_k in enumerate(zetas):
                 if k == j:

@@ -467,6 +467,47 @@ class Engine:
             return None
         return load, surface.lookup(load, probability)
 
+    def _exact_capacity(
+        self,
+        rtt_bound_s: float,
+        probability: float,
+        method: str,
+        ceiling: float,
+        load_resolution: float,
+    ) -> Tuple[Optional[float], float]:
+        """The exact load search shared by :meth:`dimension` and :meth:`admit`.
+
+        Returns ``(max_load, rtt_at_max_load_s)``, or ``(None,
+        rtt_at_floor_s)`` when the bound is missed even at the floor
+        load.  The floor is the load of a single gamer, clamped to
+        ``[1e-4, ceiling / 2]`` and nudged up to the first load that
+        really maps to at least one gamer (the load<->gamer round trip
+        can land one ulp short).  Between floor and ceiling, ``brentq``
+        brackets the bound to ``load_resolution``; every evaluation goes
+        through the shared cache.
+        """
+        scenario = self.scenario
+        floor_load = min(max(scenario.load_for_gamers(1.0), 1e-4), ceiling / 2.0)
+        while scenario.gamers_at_load(floor_load) < 1.0:
+            floor_load = math.nextafter(floor_load, math.inf)
+        rtt_floor = self.rtt_quantile(floor_load, probability, method)
+        if rtt_floor > rtt_bound_s:
+            return None, rtt_floor
+        if self.rtt_quantile(ceiling, probability, method) <= rtt_bound_s:
+            best_load = ceiling
+        else:
+            best_load = float(
+                optimize.brentq(
+                    lambda load: self.rtt_quantile(load, probability, method)
+                    - rtt_bound_s,
+                    floor_load,
+                    ceiling,
+                    xtol=load_resolution,
+                )
+            )
+        # brentq returns a load it has evaluated, so this is a cache hit.
+        return best_load, self.rtt_quantile(best_load, probability, method)
+
     def dimension(
         self,
         rtt_bound_s: float,
@@ -506,32 +547,15 @@ class Engine:
                 rtt_at_max_load_s=rtt_at_best,
             )
 
-        # The load must at least accommodate one gamer.
-        floor_load = scenario.load_for_gamers(1.0)
-        floor_load = min(max(floor_load, 1e-4), ceiling / 2.0)
-
-        rtt_floor = self.rtt_quantile(floor_load, probability, method)
-        if rtt_floor > rtt_bound_s:
+        best_load, rtt_at_best = self._exact_capacity(
+            rtt_bound_s, probability, method, ceiling, load_resolution
+        )
+        if best_load is None:
             raise ParameterError(
                 f"the RTT bound {rtt_bound_s * 1e3:.1f} ms cannot be met even at the "
-                f"minimum load ({rtt_floor * 1e3:.1f} ms with a single gamer)"
-            )
-        rtt_ceiling = self.rtt_quantile(ceiling, probability, method)
-        if rtt_ceiling <= rtt_bound_s:
-            best_load = ceiling
-        else:
-            best_load = float(
-                optimize.brentq(
-                    lambda load: self.rtt_quantile(load, probability, method)
-                    - rtt_bound_s,
-                    floor_load,
-                    ceiling,
-                    xtol=load_resolution,
-                )
+                f"minimum load ({rtt_at_best * 1e3:.1f} ms with a single gamer)"
             )
         gamers = int(math.floor(scenario.gamers_at_load(best_load)))
-        # brentq returns a load it has evaluated, so this is a cache hit.
-        rtt_at_best = self.rtt_quantile(best_load, probability, method)
         return DimensioningResult(
             rtt_bound_s=rtt_bound_s,
             probability=probability,
@@ -594,10 +618,10 @@ class Engine:
             source = "surface"
         else:
             source = "exact"
-            floor_load = scenario.load_for_gamers(1.0)
-            floor_load = min(max(floor_load, 1e-4), ceiling / 2.0)
-            rtt_floor = self.rtt_quantile(floor_load, probability, method)
-            if rtt_floor > rtt_budget_s:
+            best_load, rtt_at_best = self._exact_capacity(
+                rtt_budget_s, probability, method, ceiling, load_resolution
+            )
+            if best_load is None:
                 # Over budget already at the minimum load: nobody is
                 # admitted, and the floor RTT documents by how much.
                 return AdmissionResult(
@@ -606,24 +630,10 @@ class Engine:
                     admitted=False,
                     max_load=0.0,
                     max_gamers=0,
-                    rtt_at_max_load_s=rtt_floor,
+                    rtt_at_max_load_s=rtt_at_best,
                     proposed_load=proposed,
                     source=source,
                 )
-            rtt_ceiling = self.rtt_quantile(ceiling, probability, method)
-            if rtt_ceiling <= rtt_budget_s:
-                best_load = ceiling
-            else:
-                best_load = float(
-                    optimize.brentq(
-                        lambda point: self.rtt_quantile(point, probability, method)
-                        - rtt_budget_s,
-                        floor_load,
-                        ceiling,
-                        xtol=load_resolution,
-                    )
-                )
-            rtt_at_best = self.rtt_quantile(best_load, probability, method)
         gamers = int(math.floor(scenario.gamers_at_load(best_load)))
         admitted = proposed is None or proposed <= best_load
         return AdmissionResult(

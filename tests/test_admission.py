@@ -17,7 +17,7 @@ import pytest
 from repro.engine import Engine
 from repro.errors import ParameterError, ReproError
 from repro.fleet import AdmissionAnswer, Fleet, Request
-from repro.scenarios import get_scenario
+from repro.scenarios import available_scenarios, get_scenario
 from repro.serve import RequestCoalescer, ServingDaemon
 from repro.surface import build_surface
 from repro import cli
@@ -160,6 +160,32 @@ class TestEngineAdmit:
         assert encoded["admitted"] is True
         assert encoded["source"] == "exact"
         assert "proposed_load" not in encoded
+
+
+class TestExactCapacityAllPresets:
+    """Exact admit/dimension answer on every registry preset.
+
+    cable, lte and unreal-tournament used to raise "fewer than one
+    gamer" (the one-gamer floor load mapped back to 0.9999999999999999
+    gamers); ftth, cloud-gaming and satellite-leo raised a bare
+    ZeroDivisionError (every D/E_K/1 root underflows to 0 at the 1e-4
+    floor load).
+    """
+
+    @pytest.mark.parametrize("preset", available_scenarios())
+    def test_admit_and_dimension_answer(self, preset):
+        engine = Engine(get_scenario(preset), probability=PROBABILITY)
+        for budget in (0.030, 0.060, 0.100):
+            admitted = engine.admit(budget, exact=True)
+            if admitted.max_load == 0.0:
+                assert admitted.admitted is False
+                with pytest.raises(ParameterError, match="cannot be met"):
+                    engine.dimension(budget)
+                continue
+            dimensioned = engine.dimension(budget)
+            assert admitted.max_load == dimensioned.max_load
+            assert admitted.rtt_at_max_load_s == dimensioned.rtt_at_max_load_s
+            assert admitted.max_gamers >= 1
 
 
 class TestFleetAdmit:

@@ -87,6 +87,15 @@ class TestDEKOneQueue:
         queue = DEKOneQueue(order=9, mean_service_s=0.045, interval_s=0.060)
         assert 0.0 < sum(w.real for w in queue.weights) < 1.0
 
+    def test_underflowed_roots_get_zero_weight(self):
+        # At a 1e-4 load every root underflows to exactly 0; each gets
+        # the empty-queue weight 0 instead of dividing 0 by 0.
+        queue = DEKOneQueue(order=9, mean_service_s=1e-4 * 0.060, interval_s=0.060)
+        assert all(root == 0 for root in queue.roots)
+        assert queue.weights == [0j] * 9
+        assert queue.idle_probability() == 1.0
+        assert queue.waiting_time_tail(1e-3) == 0.0
+
     @pytest.mark.parametrize("order,load", [(2, 0.5), (9, 0.6), (20, 0.75)])
     def test_tail_matches_lindley_simulation(self, order, load):
         queue = DEKOneQueue(order=order, mean_service_s=load * 0.060, interval_s=0.060)
