@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.rtt import DEFAULT_QUANTILE
-from repro.scenarios import DslScenario, sweep_loads
+from repro.scenarios import Scenario, sweep_loads
 
 from conftest import print_header
 
@@ -21,7 +21,7 @@ def run_packet_size_ablation():
     loads = np.linspace(0.05, 0.85, 9)
     results = {}
     for server_bytes in (75.0, 100.0, 125.0):
-        scenario = DslScenario(
+        scenario = Scenario(
             server_packet_bytes=server_bytes, tick_interval_s=0.060, erlang_order=9
         )
         results[server_bytes] = sweep_loads(scenario, loads, probability=DEFAULT_QUANTILE)
@@ -49,7 +49,7 @@ def test_server_packet_size_sensitivity(benchmark):
     # Uplink dominance for P_S < P_C: with P_S = 75 byte the uplink load
     # exceeds the downlink load, and the model refuses downlink loads
     # beyond 75/80 (uplink saturation).
-    scenario_75 = DslScenario(server_packet_bytes=75.0, tick_interval_s=0.060, erlang_order=9)
+    scenario_75 = Scenario(server_packet_bytes=75.0, tick_interval_s=0.060, erlang_order=9)
     model = scenario_75.model_at_load(0.5)
     assert model.uplink_load > model.downlink_load
     from repro.errors import StabilityError

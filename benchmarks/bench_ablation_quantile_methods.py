@@ -12,7 +12,7 @@ bound baseline of Section 1.
 import pytest
 
 from repro.experiments.report import format_table
-from repro.scenarios import DslScenario
+from repro.scenarios import Scenario
 
 from conftest import print_header
 
@@ -27,7 +27,7 @@ OPERATING_POINTS = [
 
 
 def run_method_comparison():
-    scenario = DslScenario(tick_interval_s=0.040)
+    scenario = Scenario(tick_interval_s=0.040)
     rows = []
     for order, load in OPERATING_POINTS:
         model = scenario.with_erlang_order(order).model_at_load(load)

@@ -29,7 +29,7 @@ from repro.netsim import (
     GamingWorkload,
     MixGamingSimulation,
 )
-from repro.scenarios import DslScenario, get_scenario
+from repro.scenarios import Scenario, get_scenario
 from repro.validate import (
     ValidationFleet,
     batch_waiting_times,
@@ -52,7 +52,7 @@ SPEEDUP_GATE = 20.0
 @pytest.mark.benchmark(group="validation")
 def test_batched_lindley_speedup(benchmark):
     """The vectorized recursion: bit-identical and >= 20x at 400k samples."""
-    scenario = DslScenario(tick_interval_s=0.040).with_erlang_order(9)
+    scenario = Scenario(tick_interval_s=0.040).with_erlang_order(9)
     queue = scenario.model_at_load(0.5).downstream_queue()
 
     # Sample the arrival process once; both recursions walk the same
@@ -122,7 +122,7 @@ def test_batched_lindley_speedup(benchmark):
 
 @pytest.mark.benchmark(group="validation")
 def test_queueing_model_against_monte_carlo(benchmark):
-    scenario = DslScenario(tick_interval_s=0.040).with_erlang_order(9)
+    scenario = Scenario(tick_interval_s=0.040).with_erlang_order(9)
     model = scenario.model_at_load(0.5)
 
     # 400 replications x 1000 post-warmup samples = the same 400k-sample
@@ -198,7 +198,7 @@ def test_model_against_discrete_event_simulation(benchmark):
     num_clients = 50
     config = AccessNetworkConfig(num_clients=num_clients, scheduler="fifo")
     workload = GamingWorkload(tick_interval_s=0.040)
-    scenario = DslScenario(tick_interval_s=0.040).with_erlang_order(9)
+    scenario = Scenario(tick_interval_s=0.040).with_erlang_order(9)
     model = scenario.model_for_gamers(num_clients)
 
     def run():

@@ -15,11 +15,11 @@ Run with::
 
 from repro.core.dimensioning import max_tolerable_load
 from repro.experiments.report import format_table
-from repro.scenarios import DslScenario
+from repro.scenarios import Scenario
 
 
 def main() -> None:
-    scenario = DslScenario(
+    scenario = Scenario(
         server_packet_bytes=125.0,
         tick_interval_s=0.040,
         aggregation_rate_bps=5_000_000.0,
@@ -30,7 +30,7 @@ def main() -> None:
         for rtt_budget_ms in (50.0, 100.0, 150.0):
             variant = scenario.with_erlang_order(erlang_order)
             result = max_tolerable_load(
-                rtt_budget_ms / 1e3, **variant.dimensioning_kwargs()
+                rtt_budget_ms / 1e3, **variant.model_kwargs()
             )
             rows.append(
                 [

@@ -154,7 +154,6 @@ from .surface import (
 from .validate import ValidationFleet, ValidationReport
 from .scenarios import (
     SCENARIO_PRESETS,
-    DslScenario,
     MixComponent,
     MixScenario,
     Scenario,
@@ -177,7 +176,6 @@ __all__ = [
     "DEKOneQueue",
     "DeterministicRttBound",
     "DimensioningResult",
-    "DslScenario",
     "Engine",
     "EngineStats",
     "ErlangTermSum",

@@ -580,8 +580,6 @@ def tails_from_mgfs(
     return [out.reshape(grid.shape) for out, grid in zip(outs, grids)]
 
 
-
-
 # ----------------------------------------------------------------------
 # Quantile searches: suspendable Brent, one driver for every batch size
 # ----------------------------------------------------------------------
@@ -679,7 +677,7 @@ def _quantile_search(probability: float, scale_hint: float, tolerance: float) ->
     ``scale_hint`` and remembers its last failed doubling as the lower
     end, and the memo answers Brent's two endpoint evaluations, so no
     point is asked for twice.  Every quantile of the module is one of
-    these searches, driven by :func:`_drive`: the trajectory depends
+    these searches, run by :func:`_drive`: the trajectory depends
     only on the tail values it is sent, never on how many searches
     share a round or how the values were computed.
     """
@@ -718,18 +716,26 @@ def _quantile_search(probability: float, scale_hint: float, tolerance: float) ->
 
 
 def _drive(
-    searches: Sequence[Search],
-    evaluate: Callable[[List[int], List[float]], Sequence[float]],
+    mgfs: Sequence[Callable[[complex], complex]],
+    probability: float,
+    hints: Sequence[float],
+    atoms: Sequence[Optional[float]],
+    tolerance: float,
+    stack_eval: Optional[StackEval],
 ) -> List[float]:
-    """Run suspended searches to completion, one round at a time.
+    """Run one quantile search per transform to completion, in rounds.
 
-    Every round collects the pending point of each still-active search
-    (in search order), answers them all with one ``evaluate(indices,
-    xs)`` call and sends each value back.  A search that raises aborts
-    the whole batch with its exception.
+    Every round collects the pending tail point of each still-active
+    search, answers them all and sends each value back.  With
+    ``stack_eval`` the round's positive finite points cost one
+    :func:`_stacked_tail_rows` evaluation; any other point is a
+    :func:`tail_from_mgf` call on its own transform (the special points
+    zero, negative and non-finite never need the transform).  A search
+    that raises aborts the batch with its exception.
     """
+    searches = [_quantile_search(probability, hint, tolerance) for hint in hints]
     results = [0.0] * len(searches)
-    pending: List[tuple] = []
+    pending: List[tuple] = []  # (search index, tail point)
 
     def resume(index: int, value: Optional[float]) -> None:
         try:
@@ -740,55 +746,23 @@ def _drive(
     for index in range(len(searches)):
         resume(index, None)
     while pending:
-        indices = [index for index, _ in pending]
-        values = evaluate(indices, [x for _, x in pending])
+        batch = pending[:]
         pending.clear()
-        for index, value in zip(indices, values):
+        rows = [] if stack_eval is None else [
+            j for j, (_, x) in enumerate(batch) if 0.0 < x < math.inf
+        ]
+        stacked: Dict[int, float] = {}
+        if rows:
+            indices = np.asarray([batch[j][0] for j in rows], dtype=np.intp)
+            xs = np.asarray([batch[j][1] for j in rows], dtype=float)
+            values = _stacked_tail_rows(stack_eval, indices, xs, _EULER_A, _EULER_N, _EULER_M)
+            stacked = dict(zip(rows, values))
+        for j, (index, x) in enumerate(batch):
+            value = stacked.get(j)
+            if value is None:
+                value = tail_from_mgf(mgfs[index], x, atom_at_zero=atoms[index])
             resume(index, float(value))
     return results
-
-
-def _quantiles(
-    mgfs: Sequence[Callable[[complex], complex]],
-    probability: float,
-    hints: Sequence[float],
-    atoms: Sequence[Optional[float]],
-    tolerance: float,
-    stack_eval: Optional[StackEval],
-) -> List[float]:
-    """One quantile search per transform, all driven in lockstep.
-
-    Without ``stack_eval`` each pending point is a :func:`tail_from_mgf`
-    call on its own transform.  With it, every round's positive finite
-    points are answered by one :func:`_stacked_tail_rows` evaluation;
-    the special points (zero, negative, non-finite) never need the
-    transform, so :func:`tail_from_mgf` answers them directly.
-    """
-    searches = [_quantile_search(probability, hint, tolerance) for hint in hints]
-
-    def each(indices: List[int], xs: List[float]) -> List[float]:
-        return [
-            tail_from_mgf(mgfs[i], x, atom_at_zero=atoms[i]) for i, x in zip(indices, xs)
-        ]
-
-    def stacked(indices: List[int], xs: List[float]) -> np.ndarray:
-        points = np.asarray(xs, dtype=float)
-        rows = (points > 0.0) & np.isfinite(points)
-        values = np.zeros(len(xs))
-        for j in np.nonzero(~rows)[0]:
-            values[j] = tail_from_mgf(mgfs[indices[j]], xs[j], atom_at_zero=atoms[indices[j]])
-        if rows.any():
-            values[rows] = _stacked_tail_rows(
-                stack_eval,
-                np.asarray(indices, dtype=np.intp)[rows],
-                points[rows],
-                _EULER_A,
-                _EULER_N,
-                _EULER_M,
-            )
-        return values
-
-    return _drive(searches, each if stack_eval is None else stacked)
 
 
 def quantile_from_mgf(
@@ -823,9 +797,7 @@ def quantile_from_mgf(
         Optional known probability mass at zero, forwarded to
         :func:`tail_from_mgf`.
     """
-    return _quantiles(
-        [mgf], probability, [float(scale_hint)], [atom_at_zero], tolerance, None
-    )[0]
+    return _drive([mgf], probability, [float(scale_hint)], [atom_at_zero], tolerance, None)[0]
 
 
 def quantiles_from_mgfs(
@@ -862,4 +834,4 @@ def quantiles_from_mgfs(
         raise ParameterError(
             "scale_hints and atoms_at_zero must match the number of transforms"
         )
-    return _quantiles(mgfs, probability, hints, atoms, tolerance, stack_eval)
+    return _drive(mgfs, probability, hints, atoms, tolerance, stack_eval)

@@ -536,20 +536,11 @@ class Engine:
         ceiling = scenario.stable_load_ceiling(max_load_ceiling)
 
         inverted = self._surface_invert(rtt_bound_s, probability, method, ceiling)
-        if inverted is not None:
-            best_load, rtt_at_best = inverted
-            gamers = int(math.floor(scenario.gamers_at_load(best_load)))
-            return DimensioningResult(
-                rtt_bound_s=rtt_bound_s,
-                probability=probability,
-                max_load=best_load,
-                max_gamers=max(gamers, 0),
-                rtt_at_max_load_s=rtt_at_best,
+        if inverted is None:
+            inverted = self._exact_capacity(
+                rtt_bound_s, probability, method, ceiling, load_resolution
             )
-
-        best_load, rtt_at_best = self._exact_capacity(
-            rtt_bound_s, probability, method, ceiling, load_resolution
-        )
+        best_load, rtt_at_best = inverted
         if best_load is None:
             raise ParameterError(
                 f"the RTT bound {rtt_bound_s * 1e3:.1f} ms cannot be met even at the "
@@ -613,29 +604,19 @@ class Engine:
             if exact
             else self._surface_invert(rtt_budget_s, probability, method, ceiling)
         )
-        if inverted is not None:
-            best_load, rtt_at_best = inverted
-            source = "surface"
-        else:
-            source = "exact"
-            best_load, rtt_at_best = self._exact_capacity(
+        source = "exact" if inverted is None else "surface"
+        if inverted is None:
+            inverted = self._exact_capacity(
                 rtt_budget_s, probability, method, ceiling, load_resolution
             )
-            if best_load is None:
-                # Over budget already at the minimum load: nobody is
-                # admitted, and the floor RTT documents by how much.
-                return AdmissionResult(
-                    rtt_budget_s=float(rtt_budget_s),
-                    probability=probability,
-                    admitted=False,
-                    max_load=0.0,
-                    max_gamers=0,
-                    rtt_at_max_load_s=rtt_at_best,
-                    proposed_load=proposed,
-                    source=source,
-                )
-        gamers = int(math.floor(scenario.gamers_at_load(best_load)))
-        admitted = proposed is None or proposed <= best_load
+        best_load, rtt_at_best = inverted
+        if best_load is None:
+            # Over budget already at the minimum load: nobody is
+            # admitted, and the floor RTT documents by how much.
+            best_load, gamers, admitted = 0.0, 0, False
+        else:
+            gamers = int(math.floor(scenario.gamers_at_load(best_load)))
+            admitted = proposed is None or proposed <= best_load
         return AdmissionResult(
             rtt_budget_s=float(rtt_budget_s),
             probability=probability,

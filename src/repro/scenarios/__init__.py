@@ -1,12 +1,11 @@
 """Scenario definitions, presets and parameter sweeps (Section 4)."""
 
-from .base import Scenario
-from .dsl import (
-    DslScenario,
+from .base import (
     PAPER_BASELINE,
     PAPER_ERLANG_ORDERS,
     PAPER_SERVER_PACKET_SIZES,
     PAPER_TICK_INTERVALS_S,
+    Scenario,
 )
 from .mix import MixComponent, MixScenario, ScenarioLike
 from .registry import (
@@ -20,7 +19,6 @@ from .sweep import SweepPoint, SweepSeries, default_load_grid, sweep_loads
 
 __all__ = [
     "Scenario",
-    "DslScenario",
     "MixComponent",
     "MixScenario",
     "ScenarioLike",

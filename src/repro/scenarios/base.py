@@ -269,10 +269,6 @@ class Scenario(ScenarioSerializationMixin):
         """The scenario as :class:`PingTimeModel` keyword arguments."""
         return self.to_dict()
 
-    # Backwards-compatible aliases (the pre-redesign DslScenario API).
-    _model_kwargs = model_kwargs
-    dimensioning_kwargs = model_kwargs
-
     def model_at_load(self, downlink_load: float) -> PingTimeModel:
         """RTT model at the given downlink load on the aggregation link."""
         return PingTimeModel.from_downlink_load(downlink_load, **self.model_kwargs())
@@ -280,3 +276,23 @@ class Scenario(ScenarioSerializationMixin):
     def model_for_gamers(self, num_gamers: float) -> PingTimeModel:
         """RTT model for an explicit number of gamers."""
         return PingTimeModel(num_gamers=num_gamers, **self.model_kwargs())
+
+
+# ----------------------------------------------------------------------
+# The parameter sets of the paper's Section 4 DSL study: the client
+# packet size is 80 byte, the DSL access rates are 128 kbit/s up and
+# 1024 kbit/s down, the gaming share of the aggregation link is 5 Mbit/s
+# (the Scenario defaults); the server packet size, tick interval and
+# Erlang order vary.
+# ----------------------------------------------------------------------
+#: The Erlang orders examined in Section 4.
+PAPER_ERLANG_ORDERS = (2, 9, 20)
+
+#: The tick intervals examined in Section 4 (seconds).
+PAPER_TICK_INTERVALS_S = (0.040, 0.060)
+
+#: The server packet sizes examined in Section 4 (bytes).
+PAPER_SERVER_PACKET_SIZES = (75.0, 100.0, 125.0)
+
+#: The baseline parameter set used for Figure 3 (P_S = 125 byte, T = 60 ms).
+PAPER_BASELINE = Scenario()

@@ -34,8 +34,7 @@ import os
 from typing import Dict, List, Union
 
 from ..traffic.games import counter_strike, half_life, halo, quake3, unreal_tournament
-from .base import Scenario
-from .dsl import PAPER_BASELINE
+from .base import PAPER_BASELINE, Scenario
 from .mix import MixScenario, ScenarioLike
 
 __all__ = [

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.scenarios import DslScenario
+from repro.scenarios import Scenario
 from repro.traffic.games import counter_strike, half_life, unreal_tournament
 
 
@@ -40,12 +40,12 @@ def hl_trace_short():
 
 
 @pytest.fixture(scope="session")
-def paper_scenario() -> DslScenario:
+def paper_scenario() -> Scenario:
     """The Section 4 baseline scenario (P_S=125 byte, T=60 ms, K=9)."""
-    return DslScenario()
+    return Scenario()
 
 
 @pytest.fixture(scope="session")
-def dimensioning_scenario() -> DslScenario:
+def dimensioning_scenario() -> Scenario:
     """The Section 4 dimensioning scenario (T=40 ms)."""
-    return DslScenario(tick_interval_s=0.040)
+    return Scenario(tick_interval_s=0.040)

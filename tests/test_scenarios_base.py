@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.errors import ParameterError
-from repro.scenarios import PAPER_BASELINE, DslScenario, Scenario
+from repro.scenarios import PAPER_BASELINE, Scenario
 
 
 class TestConstructionAndValidation:
@@ -20,8 +20,7 @@ class TestConstructionAndValidation:
         assert s.access_downlink_bps == 1_024_000.0
         assert s.aggregation_rate_bps == 5_000_000.0
 
-    def test_dsl_scenario_is_an_alias(self):
-        assert DslScenario is Scenario
+    def test_paper_baseline_is_the_default_scenario(self):
         assert PAPER_BASELINE == Scenario()
 
     @pytest.mark.parametrize(
@@ -149,7 +148,6 @@ class TestModelConstruction:
 
     def test_model_kwargs_match_to_dict(self):
         assert PAPER_BASELINE.model_kwargs() == PAPER_BASELINE.to_dict()
-        assert PAPER_BASELINE.dimensioning_kwargs() == PAPER_BASELINE.to_dict()
 
 
 class TestCacheKey:

@@ -5,17 +5,17 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.scenarios import (
-    DslScenario,
     PAPER_BASELINE,
     PAPER_ERLANG_ORDERS,
     PAPER_SERVER_PACKET_SIZES,
     PAPER_TICK_INTERVALS_S,
+    Scenario,
     default_load_grid,
     sweep_loads,
 )
 
 
-class TestDslScenario:
+class TestPaperBaseline:
     def test_paper_baseline_defaults(self):
         assert PAPER_BASELINE.client_packet_bytes == 80.0
         assert PAPER_BASELINE.server_packet_bytes == 125.0
@@ -41,7 +41,7 @@ class TestDslScenario:
 
     def test_rejects_order_below_two(self):
         with pytest.raises(ParameterError):
-            DslScenario(erlang_order=1)
+            Scenario(erlang_order=1)
 
     def test_model_at_load_roundtrip(self):
         model = PAPER_BASELINE.model_at_load(0.42)
@@ -56,10 +56,10 @@ class TestDslScenario:
         gamers = PAPER_BASELINE.gamers_at_load(load)
         assert PAPER_BASELINE.load_for_gamers(gamers) == pytest.approx(load)
 
-    def test_dimensioning_kwargs_build_a_model(self):
+    def test_model_kwargs_build_a_model(self):
         from repro.core import PingTimeModel
 
-        kwargs = PAPER_BASELINE.dimensioning_kwargs()
+        kwargs = PAPER_BASELINE.model_kwargs()
         model = PingTimeModel(num_gamers=10, **kwargs)
         assert model.erlang_order == PAPER_BASELINE.erlang_order
 
