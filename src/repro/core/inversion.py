@@ -62,11 +62,11 @@ tail.  The search is a generator (:func:`_quantile_search`) that yields
 each tail point it needs and is sent the tail value back; Brent's
 method itself is a port of scipy's ``brentq.c`` written the same way
 (:func:`_brent`), so a search can be suspended between any two
-evaluations.  One driver loop (:func:`_drive`) advances a batch of
+evaluations.  One round loop (:func:`_run_searches`) advances a batch of
 searches round by round and answers each round with one evaluation:
-:func:`quantile_from_mgf` is that driver with a batch of one and a
+:func:`quantile_from_mgf` is that loop with a batch of one and a
 :func:`tail_from_mgf` call per point, :func:`quantiles_from_mgfs` the
-same driver with one stacked evaluation per round.  Because the stacked
+same loop with one stacked evaluation per round.  Because the stacked
 arithmetic is bit-identical per row to the per-transform path (same
 elementwise kernels, same reduction lengths, same weights), every
 search follows the exact trajectory of its scalar counterpart and
@@ -581,7 +581,7 @@ def tails_from_mgfs(
 
 
 # ----------------------------------------------------------------------
-# Quantile searches: suspendable Brent, one driver for every batch size
+# Quantile searches: suspendable Brent, one round loop for every batch size
 # ----------------------------------------------------------------------
 #: Relative tolerance of :func:`_brent`, scipy's ``brentq`` default.
 _BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
@@ -596,10 +596,11 @@ def _brent(xa: float, xb: float, xtol: float, maxiter: int = 100) -> Search:
 
     A line-by-line port of scipy's ``brentq.c``: it yields each point
     ``x`` where it needs the function and is sent ``f(x)`` back, so many
-    searches can be advanced together by one driver loop (see
-    :func:`_drive`).  Given the same function values it visits the same
-    points and returns the same float as ``scipy.optimize.brentq(f, xa,
-    xb, xtol=xtol, maxiter=maxiter)``, and raises where it does:
+    searches can be advanced together by one round loop (see
+    :func:`_run_searches`).  Given the same function values it visits
+    the same points and returns the same float as
+    ``scipy.optimize.brentq(f, xa, xb, xtol=xtol, maxiter=maxiter)``,
+    and raises where it does:
     ``ValueError`` for a NaN value or for ``f(xa)`` and ``f(xb)`` of the
     same sign, ``RuntimeError`` once ``maxiter`` iterations are spent.
     """
@@ -677,7 +678,7 @@ def _quantile_search(probability: float, scale_hint: float, tolerance: float) ->
     ``scale_hint`` and remembers its last failed doubling as the lower
     end, and the memo answers Brent's two endpoint evaluations, so no
     point is asked for twice.  Every quantile of the module is one of
-    these searches, run by :func:`_drive`: the trajectory depends
+    these searches, run by :func:`_run_searches`: the trajectory depends
     only on the tail values it is sent, never on how many searches
     share a round or how the values were computed.
     """
@@ -715,7 +716,7 @@ def _quantile_search(probability: float, scale_hint: float, tolerance: float) ->
             return stop.value
 
 
-def _drive(
+def _run_searches(
     mgfs: Sequence[Callable[[complex], complex]],
     probability: float,
     hints: Sequence[float],
@@ -797,7 +798,7 @@ def quantile_from_mgf(
         Optional known probability mass at zero, forwarded to
         :func:`tail_from_mgf`.
     """
-    return _drive([mgf], probability, [float(scale_hint)], [atom_at_zero], tolerance, None)[0]
+    return _run_searches([mgf], probability, [float(scale_hint)], [atom_at_zero], tolerance, None)[0]
 
 
 def quantiles_from_mgfs(
@@ -834,4 +835,4 @@ def quantiles_from_mgfs(
         raise ParameterError(
             "scale_hints and atoms_at_zero must match the number of transforms"
         )
-    return _drive(mgfs, probability, hints, atoms, tolerance, stack_eval)
+    return _run_searches(mgfs, probability, hints, atoms, tolerance, stack_eval)

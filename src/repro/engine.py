@@ -479,17 +479,18 @@ class Engine:
 
         Returns ``(max_load, rtt_at_max_load_s)``, or ``(None,
         rtt_at_floor_s)`` when the bound is missed even at the floor
-        load.  The floor is the load of a single gamer, clamped to
-        ``[1e-4, ceiling / 2]`` and nudged up to the first load that
-        really maps to at least one gamer (the load<->gamer round trip
-        can land one ulp short).  Between floor and ceiling, ``brentq``
-        brackets the bound to ``load_resolution``; every evaluation goes
-        through the shared cache.
+        load.  The floor is the load of a single gamer, at least 1e-4,
+        nudged up to the first load that really maps to at least one
+        gamer (the load<->gamer round trip can land one ulp short), and
+        then capped at ``ceiling / 2``.  Between floor and ceiling,
+        ``brentq`` brackets the bound to ``load_resolution``; every
+        evaluation goes through the shared cache.
         """
         scenario = self.scenario
-        floor_load = min(max(scenario.load_for_gamers(1.0), 1e-4), ceiling / 2.0)
+        floor_load = max(scenario.load_for_gamers(1.0), 1e-4)
         while scenario.gamers_at_load(floor_load) < 1.0:
             floor_load = math.nextafter(floor_load, math.inf)
+        floor_load = min(floor_load, ceiling / 2.0)
         rtt_floor = self.rtt_quantile(floor_load, probability, method)
         if rtt_floor > rtt_bound_s:
             return None, rtt_floor

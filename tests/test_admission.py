@@ -187,6 +187,13 @@ class TestExactCapacityAllPresets:
             assert admitted.rtt_at_max_load_s == dimensioned.rtt_at_max_load_s
             assert admitted.max_gamers >= 1
 
+    def test_one_gamer_beyond_half_the_ceiling_is_a_typed_error(self):
+        # One gamer loads this 30 kbit/s pipe to ~0.56: the floor is
+        # capped at half the ceiling, which holds fewer than one gamer.
+        engine = Engine(get_scenario(PRESET).derive(aggregation_rate_bps=30_000.0))
+        with pytest.raises(ParameterError, match="fewer than one gamer"):
+            engine.dimension(0.5)
+
 
 class TestFleetAdmit:
     def test_fleet_admit_counts_and_answers(self):
