@@ -12,7 +12,12 @@ code paths that could drift together:
   (``Engine.rtt_quantile``) and the stacked plan path
   (``Engine.rtt_quantiles``) must both reproduce;
 * the exact ``Engine.dimension`` and ``Engine.admit(exact=True)``
-  answers at :data:`BUDGETS_S` for every preset that answers them.
+  answers at :data:`BUDGETS_S` for every preset that answers them;
+* every point of ``Engine.sweep`` over ``default_load_grid()`` at
+  :data:`SWEEP_PROBABILITY` for every preset: its downlink load, uplink
+  load, gamer count and RTT quantile (the uplink load is the model's own
+  eq. (37) product, which can differ by an ulp from
+  ``scenario.uplink_load_for(scenario.load_for_gamers(n))``).
 
 Floats are bit-identical only on the platform that recorded them (a
 different libm, SIMD kernel or FMA contraction may move the last bits),
@@ -34,7 +39,7 @@ import scipy
 from repro.core.rtt import QUANTILE_METHODS
 from repro.engine import Engine
 from repro.errors import ParameterError
-from repro.scenarios import available_scenarios, get_scenario
+from repro.scenarios import available_scenarios, default_load_grid, get_scenario
 
 PATH = Path(__file__).with_name("exact_quantiles.json")
 LOADS = (0.5, 0.7)
@@ -43,6 +48,8 @@ PROBABILITIES = (0.999, 0.99999)
 BUDGETS_S = (0.005, 0.030, 0.060, 0.100)
 #: Quantile level of the dimension/admit records.
 CAPACITY_PROBABILITY = 0.99999
+#: Quantile level of the sweep records (``inversion`` method).
+SWEEP_PROBABILITY = 0.99999
 
 
 def cpu_model() -> str:
@@ -134,6 +141,26 @@ def capacity_records() -> tuple:
     return dimensions, admits
 
 
+def sweep_records() -> list:
+    """Every ``Engine.sweep`` point of every preset on the default grid."""
+    records = []
+    for name in available_scenarios():
+        series = Engine(get_scenario(name)).sweep(
+            default_load_grid(), SWEEP_PROBABILITY, "inversion"
+        )
+        for point in series.points:
+            records.append(
+                {
+                    "preset": name,
+                    "downlink_load": point.downlink_load,
+                    "uplink_load": point.uplink_load,
+                    "num_gamers": point.num_gamers,
+                    "rtt_quantile_s": point.rtt_quantile_s,
+                }
+            )
+    return records
+
+
 def main() -> None:
     dimensions, admits = capacity_records()
     fixture = {
@@ -144,11 +171,14 @@ def main() -> None:
         "quantiles": quantile_records(),
         "dimension": dimensions,
         "admit": admits,
+        "sweep_probability": SWEEP_PROBABILITY,
+        "sweep": sweep_records(),
     }
     PATH.write_text(json.dumps(fixture, indent=1) + "\n", encoding="utf-8")
     print(
         f"wrote {PATH}: {len(fixture['quantiles'])} quantiles, "
-        f"{len(dimensions)} dimension and {len(admits)} admit records"
+        f"{len(dimensions)} dimension, {len(admits)} admit and "
+        f"{len(fixture['sweep'])} sweep records"
     )
 
 

@@ -2,8 +2,9 @@
 
 ``tests/golden/exact_quantiles.json`` (written by
 ``tests/golden/generate_exact_quantiles.py``) holds RTT quantiles of
-every registry preset x quantile method x load x probability, plus
-exact ``Engine.dimension`` / ``Engine.admit(exact=True)`` answers.
+every registry preset x quantile method x load x probability, exact
+``Engine.dimension`` / ``Engine.admit(exact=True)`` answers, and every
+``Engine.sweep`` point of every preset on the default load grid.
 Refactors of the exact path must reproduce them with ``==``: comparing
 two code paths with each other cannot catch both drifting together.
 
@@ -26,7 +27,7 @@ import pytest
 
 from repro.engine import Engine
 from repro.errors import ParameterError
-from repro.scenarios import get_scenario
+from repro.scenarios import default_load_grid, get_scenario
 
 FIXTURE = json.loads(
     (Path(__file__).parent / "golden" / "exact_quantiles.json").read_text(encoding="utf-8")
@@ -58,6 +59,7 @@ def by_preset(section: str) -> dict:
 QUANTILES = by_preset("quantiles")
 DIMENSIONS = by_preset("dimension")
 ADMITS = by_preset("admit")
+SWEEPS = by_preset("sweep")
 
 
 def test_fixture_covers_the_registry():
@@ -69,6 +71,8 @@ def test_fixture_covers_the_registry():
         assert {r["method"] for r in records} == set(QUANTILE_METHODS)
     assert len(FIXTURE["quantiles"]) == len(QUANTILES) * len(QUANTILE_METHODS) * 4
     assert DIMENSIONS and set(DIMENSIONS) == set(ADMITS)
+    assert set(SWEEPS) == set(available_scenarios())
+    assert {len(records) for records in SWEEPS.values()} == {len(default_load_grid())}
 
 
 @pytest.mark.parametrize("preset", sorted(QUANTILES))
@@ -105,3 +109,20 @@ def test_exact_capacity_matches_golden(preset):
         same(answer.max_load, adm["max_load"], LOAD_ABS)
         same(answer.max_gamers, adm["max_gamers"], 1)
         same(answer.rtt_at_max_load_s, adm["rtt_at_max_load_s"], 1e-3 * budget)
+
+
+@pytest.mark.parametrize("preset", sorted(SWEEPS))
+def test_sweep_matches_golden(preset):
+    series = Engine(get_scenario(preset)).sweep(
+        default_load_grid(), FIXTURE["sweep_probability"], "inversion"
+    )
+    records = SWEEPS[preset]
+    assert len(series.points) == len(records)
+    for point, record in zip(series.points, records):
+        assert point.downlink_load == record["downlink_load"]
+        # The model's own eq. (37) uplink load, not the scenario's
+        # round trip through the gamer count (they differ by an ulp at
+        # some grid points).
+        same(point.uplink_load, record["uplink_load"], 1e-12)
+        same(point.num_gamers, record["num_gamers"], 1e-9 * record["num_gamers"])
+        same(point.rtt_quantile_s, record["rtt_quantile_s"], QUANTILE_ABS_S)
