@@ -22,7 +22,7 @@ import time
 import pytest
 
 from repro.core.dimensioning import max_tolerable_load
-from repro.core.rtt import reset_model_build_count
+from repro.core.rtt import model_build_count, reset_model_build_count
 from repro.engine import Engine
 from repro.scenarios import Scenario, default_load_grid, sweep_loads
 
@@ -83,9 +83,9 @@ def test_engine_batch_vs_uncached(benchmark):
     uncached_dim_builds = reset_model_build_count()
     cold_engine = Engine(SCENARIO, probability=PROBABILITIES[-1])
     cold_engine.dimension(0.050)
-    dim_builds_before = engine.stats.model_builds
+    cold_dim_builds = reset_model_build_count()
     cached_dim = engine.dimension(0.050, probability=PROBABILITIES[-1])
-    dim_extra_builds = engine.stats.model_builds - dim_builds_before
+    dim_extra_builds = model_build_count()
 
     print_header("Engine batch evaluation vs. seed-style per-point rebuilds")
     print(f"grid points                    : {len(grid)}")
@@ -97,7 +97,7 @@ def test_engine_batch_vs_uncached(benchmark):
     print(f"sweep wall time, cached        : {cached_elapsed * 1e3:.1f} ms")
     print(f"dimension builds, cold         : {uncached_dim_builds}")
     print(f"dimension builds, warm engine  : {dim_extra_builds}")
-    print(f"engine cache stats             : {engine.stats.as_dict()}")
+    print(f"engine fleet stats             : {engine.fleet.stats.as_dict()}")
 
     # Identical numbers: the cache must not change a single bit.
     assert cached_results == uncached_results
@@ -116,6 +116,6 @@ def test_engine_batch_vs_uncached(benchmark):
     # cache instead of rebuilding it (the seed always paid one extra
     # model build at the optimum on top of the bisection), and a warm
     # engine never rebuilds what earlier queries already evaluated.
-    assert cold_engine.stats.quantile_cache_hits >= 1
-    assert cold_engine.stats.model_builds == cold_engine.stats.quantile_evaluations
+    assert cold_engine.fleet.stats.cache_hits >= 1
+    assert cold_dim_builds == cold_engine.fleet.stats.evaluations
     assert dim_extra_builds <= uncached_dim_builds

@@ -13,8 +13,8 @@ Acceptance criteria asserted here (ISSUE 3):
 * a mixed 4-preset request batch served through the Fleet performs
   >= 3x fewer MGF array invocations than per-engine dispatch (the PR 2
   sequential batch path; the observed ratio is ~30x);
-* the served quantiles agree with per-point :class:`Engine` answers to
-  <= 1e-9 relative error — and are in fact bit-identical, because the
+* the served quantiles agree with the serial scalar
+  ``model.rtt_quantile`` to <= 1e-9 relative error — and are in fact bit-identical, because the
   stacked rounds reproduce the per-model tail bits and therefore the
   exact search trajectories;
 * a second pass over the same stream is answered entirely from the
@@ -27,7 +27,6 @@ import numpy as np
 import pytest
 
 from repro.core.inversion import quantiles_from_mgfs
-from repro.engine import Engine
 from repro.fleet import Fleet, Request
 from repro.scenarios import get_scenario
 from repro.testing import CountingMgf
@@ -84,11 +83,14 @@ def test_fleet_vs_per_engine_dispatch(benchmark):
     fleet_calls = fleet.stats.stacked_mgf_calls
     fleet_quantiles = [answer.rtt_quantile_s for answer in answers]
 
-    # -- reference: per-point Engine answers (the scalar search path).
+    # -- reference: the serial scalar search path, point by point.
     per_point = []
     for preset in PRESETS:
-        engine = Engine(get_scenario(preset), probability=PROBABILITY)
-        per_point.extend(engine.rtt_quantile(float(load)) for load in LOADS)
+        scenario = get_scenario(preset)
+        per_point.extend(
+            scenario.model_at_load(float(load)).rtt_quantile(PROBABILITY)
+            for load in LOADS
+        )
 
     relative_errors = [
         abs(fleet_value - reference) / abs(reference)
@@ -118,7 +120,7 @@ def test_fleet_vs_per_engine_dispatch(benchmark):
     # Acceptance: measurably fewer MGF array invocations than dispatch.
     assert ratio >= 3.0
 
-    # Acceptance: agreement with per-point Engine answers to <= 1e-9 —
+    # Acceptance: agreement with the scalar path to <= 1e-9 —
     # in fact bit-identical (same tail bits, same search trajectories).
     assert max(relative_errors) <= 1e-9
     assert fleet_quantiles == per_point

@@ -13,8 +13,8 @@ Acceptance criteria asserted here:
 * a batch of mix requests (3 tagged variants x a load grid) served
   through the Fleet performs >= 3x fewer MGF array invocations than
   naive per-flow dispatch (one per-model quantile search per request);
-* the served quantiles are bit-identical to per-point
-  :class:`~repro.engine.Engine` answers on the same mix scenarios;
+* the served quantiles are bit-identical to the serial scalar
+  ``model.rtt_quantile`` on the same mix scenarios;
 * a second pass over the same stream is answered entirely from the
   shared bounded cache: zero evaluations, zero array calls.
 """
@@ -25,7 +25,6 @@ import numpy as np
 import pytest
 
 from repro.core.inversion import quantile_from_mgf
-from repro.engine import Engine
 from repro.fleet import Fleet, Request
 from repro.scenarios import get_scenario
 from repro.testing import CountingMgf
@@ -77,11 +76,13 @@ def test_stacked_mix_serving_vs_per_flow_dispatch(benchmark):
     fleet_calls = fleet.stats.stacked_mgf_calls
     fleet_quantiles = [answer.rtt_quantile_s for answer in answers]
 
-    # -- reference: per-point Engine answers on the same mix scenarios.
+    # -- reference: the serial scalar search path on the same mix scenarios.
     per_point = []
     for variant in variants:
-        engine = Engine(variant, probability=PROBABILITY)
-        per_point.extend(engine.rtt_quantile(float(load)) for load in LOADS)
+        per_point.extend(
+            variant.model_at_load(float(load)).rtt_quantile(PROBABILITY)
+            for load in LOADS
+        )
 
     ratio = dispatch_calls / fleet_calls
 
@@ -104,7 +105,7 @@ def test_stacked_mix_serving_vs_per_flow_dispatch(benchmark):
     # Acceptance: measurably fewer MGF array invocations than dispatch.
     assert ratio >= 3.0
 
-    # Acceptance: bit-identical to per-point Engine answers (same tail
+    # Acceptance: bit-identical to the scalar path (same tail
     # bits, same search trajectories) — and to the naive dispatch.
     assert fleet_quantiles == per_point
     assert dispatch_quantiles == per_point

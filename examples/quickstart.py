@@ -33,12 +33,12 @@ from repro import (
 
 
 def scenario_engine_quickstart() -> None:
-    """The scenario-first API: one typed parameter object, cached engine.
+    """The scenario-first API: one typed parameter object, one engine.
 
     A :class:`Scenario` bundles the nine access-network parameters (with
     validation and JSON round-tripping); an :class:`Engine` evaluates it
-    with memoized models, so sweeps, dimensioning and point queries
-    share every expensive transform inversion.
+    through its fleet, so sweeps, dimensioning and point queries share
+    one answer cache and every evaluation shows up in the fleet's stats.
     """
     scenario = Scenario(tick_interval_s=0.040)     # paper DSL baseline, T = 40 ms
     engine = Engine(scenario)                      # 99.999% quantile by default
@@ -58,8 +58,8 @@ def scenario_engine_quickstart() -> None:
     print(f"  max load for RTT<=50 ms  : {result.max_load:.0%}"
           f" ({result.max_gamers} gamers)")
     print(f"  sweep points evaluated   : {len(series.points)}"
-          f" (model builds: {engine.stats.model_builds},"
-          f" cache hits: {engine.stats.quantile_cache_hits})")
+          f" (evaluations: {engine.fleet.stats.evaluations},"
+          f" cache hits: {engine.fleet.stats.cache_hits})")
     print()
 
 

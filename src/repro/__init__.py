@@ -26,9 +26,9 @@ The package is organised as follows:
   sharing one reserved pipe, Section 3.2), the named preset registry
   (DSL / cable / FTTH / LTE profiles, per-game traffic presets and the
   ``multi-game-dsl`` mix) and parameter sweeps;
-* :mod:`repro.engine` -- the :class:`Engine` facade: memoized, batched
-  evaluation (RTT quantiles, sweeps, dimensioning, simulation) of one
-  scenario;
+* :mod:`repro.engine` -- the :class:`Engine`: a stateless view of one
+  scenario (RTT quantiles, sweeps, dimensioning, admission, simulation)
+  whose exact quantiles are requests served by a :class:`Fleet`;
 * :mod:`repro.fleet` -- the :class:`Fleet` serving layer: a stream of
   :class:`Request` values spanning many scenarios, planned into
   picklable evaluation units sized by a measured per-signature
@@ -123,7 +123,7 @@ from .core import (
     max_gamers,
     max_tolerable_load,
 )
-from .engine import Engine, EngineStats
+from .engine import Engine
 from .errors import (
     CacheFormatError,
     ExecutorBrokenError,
@@ -177,7 +177,6 @@ __all__ = [
     "DeterministicRttBound",
     "DimensioningResult",
     "Engine",
-    "EngineStats",
     "ErlangTermSum",
     "Executor",
     "ExecutorBrokenError",

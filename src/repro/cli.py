@@ -627,7 +627,7 @@ def _emit_json(payload: Any) -> int:
 def _command_rtt(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
     engine = Engine(scenario, probability=args.quantile, method=args.method)
-    model = engine.model_at_load(args.load)
+    model = scenario.model_at_load(args.load)
     breakdown = model.breakdown(args.quantile)
     rtt_quantile_s = engine.rtt_quantile(args.load)
     if args.json:

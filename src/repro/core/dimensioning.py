@@ -11,19 +11,30 @@ The headline numbers of Section 4 (P_S = 125 byte, T = 40 ms, C = 5 Mbps,
 RTT <= 50 ms) are roughly rho_max ~ 20% / 40% / 60% and N_max ~ 40 / 80 /
 120 gamers for K = 2 / 9 / 20.
 
-The search itself lives in :meth:`repro.engine.Engine.dimension`, which
-memoizes every model construction and quantile inversion; the
-:func:`max_tolerable_load` function below is the historical keyword
-interface, kept as a thin shim over a :class:`~repro.engine.Engine`
-built on the fly (it also accepts ``scenario=`` directly).
+The search is a suspended generator (:func:`admission_search` over
+:func:`capacity_search`): it yields
+each downlink load it needs the RTT quantile at and is sent the
+quantile back, so the caller decides how quantiles are computed.
+:class:`repro.engine.Engine` answers the probes one by one through its
+fleet (:func:`~repro.core.inversion.drive`); :class:`repro.fleet.Fleet`
+runs many admits' searches in lockstep rounds
+(:func:`~repro.core.inversion.lockstep`), each round one batch of exact
+requests through its cache and plan path.  The Brent steps are
+:func:`repro.core.inversion._brent`, a port of scipy's ``brentq`` that
+returns the same root bit for bit.  :func:`max_tolerable_load` is the
+historical keyword interface, kept as a thin shim over an
+:class:`~repro.engine.Engine` built on the fly (it also accepts
+``scenario=`` directly).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Optional, Tuple
 
 from ..errors import ParameterError
+from .inversion import Search, _brent
 from .rtt import DEFAULT_QUANTILE
 
 __all__ = [
@@ -31,6 +42,8 @@ __all__ = [
     "load_for_gamers",
     "AdmissionResult",
     "DimensioningResult",
+    "capacity_search",
+    "admission_search",
     "max_tolerable_load",
     "max_gamers",
 ]
@@ -136,6 +149,112 @@ class AdmissionResult:
         if self.proposed_load is not None:
             out["proposed_load"] = self.proposed_load
         return out
+
+
+def capacity_search(
+    scenario: Any, rtt_bound_s: float, ceiling: float, load_resolution: float
+) -> Search[Tuple[Optional[float], float]]:
+    """The exact load search shared by dimensioning and admission control.
+
+    Yields downlink loads and is sent their RTT quantiles; returns
+    ``(max_load, rtt_at_max_load_s)``, or ``(None, rtt_at_floor_s)``
+    when the bound is missed even at the floor load.  The floor is the
+    load of a single gamer, at least 1e-4, nudged up to the first load
+    that really maps to at least one gamer (the load<->gamer round trip
+    can land one ulp short), and then capped at ``ceiling / 2``.
+    Between floor and ceiling, Brent's method brackets the bound to
+    ``load_resolution``.  Like ``scipy.optimize.brentq``, it asks for the
+    floor and ceiling again, and the root it returns is a load it has
+    evaluated: the caller's cache answers those repeats.
+    """
+    floor_load = max(scenario.load_for_gamers(1.0), 1e-4)
+    while scenario.gamers_at_load(floor_load) < 1.0:
+        floor_load = math.nextafter(floor_load, math.inf)
+    floor_load = min(floor_load, ceiling / 2.0)
+    rtt_floor = yield floor_load
+    if rtt_floor > rtt_bound_s:
+        return None, rtt_floor
+    if (yield ceiling) <= rtt_bound_s:
+        best_load = ceiling
+    else:
+        brent = _brent(floor_load, ceiling, load_resolution)
+        load = next(brent)
+        while True:
+            try:
+                load = brent.send((yield load) - rtt_bound_s)
+            except StopIteration as stop:
+                best_load = float(stop.value)
+                break
+    return best_load, (yield best_load)
+
+
+def admission_search(
+    scenario: Any,
+    rtt_budget_s: float,
+    probability: float,
+    *,
+    surface: Any = None,
+    load: Optional[float] = None,
+    num_gamers: Optional[float] = None,
+    load_resolution: float = 1e-3,
+    max_load_ceiling: float = 0.98,
+) -> Search[AdmissionResult]:
+    """Admission control: can the pipe keep the quantile under budget?
+
+    A suspended search (yields loads, is sent their RTT quantiles at
+    ``probability``) for the largest load whose quantile meets the
+    budget, compared against the (optional) proposed operating point —
+    ``load`` or ``num_gamers``, at most one.  A certified ``surface``
+    whose region brackets the budget answers from its O(1) inversion
+    without yielding (``source="surface"``); otherwise
+    :func:`capacity_search` runs (``source="exact"``).  An unmeetable
+    budget is a *negative answer* (``admitted=False``, ``max_load=0``,
+    the RTT at the floor load), never an error.
+    """
+    if not rtt_budget_s > 0.0:
+        raise ParameterError("rtt_budget_s must be positive")
+    if load is not None and num_gamers is not None:
+        raise ParameterError("pass at most one of load= or num_gamers=")
+    ceiling = scenario.stable_load_ceiling(max_load_ceiling)
+    proposed: Optional[float] = None
+    if num_gamers is not None:
+        if float(num_gamers) <= 0.0:
+            raise ParameterError("num_gamers must be positive")
+        proposed = scenario.load_for_gamers(float(num_gamers))
+    elif load is not None:
+        proposed = float(load)
+        if not 0.0 < proposed < 1.0:
+            raise ParameterError("load must lie in (0, 1)")
+    surface_load = (
+        None
+        if surface is None
+        else surface.invert_load(rtt_budget_s, probability, load_cap=ceiling)
+    )
+    if surface_load is None:
+        source = "exact"
+        best_load, rtt_at_best = yield from capacity_search(
+            scenario, rtt_budget_s, ceiling, load_resolution
+        )
+    else:
+        source = "surface"
+        best_load, rtt_at_best = surface_load, surface.lookup(surface_load, probability)
+    if best_load is None:
+        # Over budget already at the minimum load: nobody is admitted,
+        # and the floor RTT documents by how much.
+        best_load, gamers, admitted = 0.0, 0, False
+    else:
+        gamers = int(math.floor(scenario.gamers_at_load(best_load)))
+        admitted = proposed is None or proposed <= best_load
+    return AdmissionResult(
+        rtt_budget_s=float(rtt_budget_s),
+        probability=probability,
+        admitted=admitted,
+        max_load=best_load,
+        max_gamers=max(gamers, 0),
+        rtt_at_max_load_s=rtt_at_best,
+        proposed_load=proposed,
+        source=source,
+    )
 
 
 def max_tolerable_load(

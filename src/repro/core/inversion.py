@@ -101,7 +101,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Dict, Generator, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -586,9 +586,54 @@ def tails_from_mgfs(
 #: Relative tolerance of :func:`_brent`, scipy's ``brentq`` default.
 _BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
 
+T = TypeVar("T")
+
 #: A suspended search: yields the point it needs ``f`` at, is sent
 #: ``f(point)``, and returns its result.
-Search = Generator[float, float, float]
+Search = Generator[Any, Any, T]
+
+
+def drive(search: Search[T], evaluate: Callable[[Any], Any]) -> T:
+    """Run a suspended search to completion, answering each point it
+    yields with ``evaluate(point)``."""
+    try:
+        point = next(search)
+        while True:
+            point = search.send(evaluate(point))
+    except StopIteration as stop:
+        return stop.value
+
+
+def lockstep(
+    searches: Sequence[Search[Any]], query: Callable[[int, Any], Any]
+) -> Search[List[Any]]:
+    """Advance several suspended searches together, in rounds.
+
+    Each round yields ``query(index, point)`` for the pending point of
+    every still-active search (in search order) and is sent their values
+    back, in the same order; searches that finish without yielding never
+    appear in a round.  Returns every search's result, in order.  A
+    search's trajectory depends only on the values it is sent, never on
+    which other searches share its rounds.
+    """
+    results: List[Any] = [None] * len(searches)
+    pending: List[Tuple[int, Any]] = []
+
+    def resume(index: int, value: Any) -> None:
+        try:
+            pending.append((index, searches[index].send(value)))
+        except StopIteration as stop:
+            results[index] = stop.value
+
+    for index in range(len(searches)):
+        resume(index, None)
+    while pending:
+        batch = pending[:]
+        pending.clear()
+        values = yield [query(index, point) for index, point in batch]
+        for (index, _), value in zip(batch, values):
+            resume(index, value)
+    return results
 
 
 def _brent(xa: float, xb: float, xtol: float, maxiter: int = 100) -> Search:
@@ -597,7 +642,7 @@ def _brent(xa: float, xb: float, xtol: float, maxiter: int = 100) -> Search:
     A line-by-line port of scipy's ``brentq.c``: it yields each point
     ``x`` where it needs the function and is sent ``f(x)`` back, so many
     searches can be advanced together by one round loop (see
-    :func:`_run_searches`).  Given the same function values it visits
+    :func:`lockstep`).  Given the same function values it visits
     the same points and returns the same float as
     ``scipy.optimize.brentq(f, xa, xb, xtol=xtol, maxiter=maxiter)``,
     and raises where it does:
@@ -726,29 +771,16 @@ def _run_searches(
 ) -> List[float]:
     """Run one quantile search per transform to completion, in rounds.
 
-    Every round collects the pending tail point of each still-active
-    search, answers them all and sends each value back.  With
-    ``stack_eval`` the round's positive finite points cost one
-    :func:`_stacked_tail_rows` evaluation; any other point is a
-    :func:`tail_from_mgf` call on its own transform (the special points
-    zero, negative and non-finite never need the transform).  A search
-    that raises aborts the batch with its exception.
+    Every :func:`lockstep` round collects the pending tail point of each
+    still-active search and answers them all.  With ``stack_eval`` the
+    round's positive finite points cost one :func:`_stacked_tail_rows`
+    evaluation; any other point is a :func:`tail_from_mgf` call on its
+    own transform (the special points zero, negative and non-finite
+    never need the transform).  A search that raises aborts the batch
+    with its exception.
     """
-    searches = [_quantile_search(probability, hint, tolerance) for hint in hints]
-    results = [0.0] * len(searches)
-    pending: List[tuple] = []  # (search index, tail point)
 
-    def resume(index: int, value: Optional[float]) -> None:
-        try:
-            pending.append((index, searches[index].send(value)))
-        except StopIteration as stop:
-            results[index] = float(stop.value)
-
-    for index in range(len(searches)):
-        resume(index, None)
-    while pending:
-        batch = pending[:]
-        pending.clear()
+    def answer(batch: List[Tuple[int, float]]) -> List[float]:
         rows = [] if stack_eval is None else [
             j for j, (_, x) in enumerate(batch) if 0.0 < x < math.inf
         ]
@@ -758,12 +790,16 @@ def _run_searches(
             xs = np.asarray([batch[j][1] for j in rows], dtype=float)
             values = _stacked_tail_rows(stack_eval, indices, xs, _EULER_A, _EULER_N, _EULER_M)
             stacked = dict(zip(rows, values))
-        for j, (index, x) in enumerate(batch):
-            value = stacked.get(j)
-            if value is None:
-                value = tail_from_mgf(mgfs[index], x, atom_at_zero=atoms[index])
-            resume(index, float(value))
-    return results
+        return [
+            float(tail_from_mgf(mgfs[index], x, atom_at_zero=atoms[index]))
+            if j not in stacked
+            else float(stacked[j])
+            for j, (index, x) in enumerate(batch)
+        ]
+
+    searches = [_quantile_search(probability, hint, tolerance) for hint in hints]
+    rounds = lockstep(searches, lambda index, x: (index, x))
+    return [float(result) for result in drive(rounds, answer)]
 
 
 def quantile_from_mgf(

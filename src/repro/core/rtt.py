@@ -29,6 +29,7 @@ import os
 import time
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -70,7 +71,7 @@ __all__ = [
     "compile_eval_plans",
     "execute_plan",
     "plan_signature",
-    "batch_rtt_quantiles",
+    "model_uplink_load",
     "batch_queueing_tails",
     "model_build_count",
     "reset_model_build_count",
@@ -111,7 +112,7 @@ def model_build_count() -> int:
 
     Model construction is the expensive step of every evaluation (it
     triggers the component-transform computations), so benchmarks and
-    the :class:`repro.engine.Engine` cache tests use this counter to
+    the engine and fleet tests use this counter to
     verify how much work a code path really performs.
     """
     return _MODEL_BUILDS
@@ -996,6 +997,18 @@ def model_params(model: "ComposedRttModel") -> Dict[str, float]:
     return {f.name: getattr(model, f.name) for f in fields(model)}
 
 
+def model_uplink_load(params: ModelParams) -> float:
+    """The uplink load of the model ``params`` describe, without building it.
+
+    Evaluates the model class's own ``uplink_load`` property (eq. (37))
+    on the bare parameters, so the float is the one a built model
+    reports; building the model would also validate it and count a
+    model construction (:func:`model_build_count`).
+    """
+    cls = MixPingTimeModel if "flows" in params else PingTimeModel
+    return cls.uplink_load.fget(SimpleNamespace(**params))
+
+
 @dataclass(frozen=True)
 class EvalPlan:
     """A self-contained, picklable unit of RTT-quantile work.
@@ -1299,29 +1312,18 @@ def compile_eval_plans(
     return plans
 
 
-def execute_plan(
-    plan: EvalPlan, models: Optional[Sequence["PingTimeModel"]] = None
-) -> PlanResult:
+def execute_plan(plan: EvalPlan) -> PlanResult:
     """Execute one plan: the stateless kernel run by every executor.
 
     Rebuilds the plan's models from their parameters and runs one
     stacked lockstep search per factor-signature group (normally one —
     plans are compiled per group; the re-grouping is defensive), or the
-    per-model fallback for methods without a batch formulation.  Callers
-    holding the originating live models may pass them via ``models`` to
-    skip the rebuild — an in-process optimisation only: rebuilt models
-    produce the very same floats, which is what makes the plan
-    executor-agnostic.
+    per-model fallback for methods without a batch formulation.  The
+    rebuilt models reproduce the originals' floats, which is what makes
+    the plan executor-agnostic.
     """
     started = time.perf_counter()
-    if models is None:
-        models = plan.build_models()
-    else:
-        models = list(models)
-        if len(models) != len(plan.indices):
-            raise ParameterError(
-                "models must match the plan's model count when provided"
-            )
+    models = plan.build_models()
     values: List[Optional[float]] = [None] * len(models)
     stacked_calls = 0
     if plan.method == "inversion":
@@ -1348,47 +1350,6 @@ def execute_plan(
         worker_pid=os.getpid(),
         exec_s=time.perf_counter() - started,
     )
-
-
-def batch_rtt_quantiles(
-    models,
-    probability: float = DEFAULT_QUANTILE,
-    method: str = "inversion",
-    executor=None,
-    cost_model: Optional[CostModel] = None,
-) -> list:
-    """RTT quantiles of several models, batched across the whole stack.
-
-    A thin driver over the plan/execute layer: the batch is compiled
-    into stack-compatible :class:`EvalPlan` chunks (see
-    :func:`compile_eval_plans`) whose lockstep searches spend one
-    stacked array evaluation per round across every model of a chunk,
-    instead of one ``queueing_mgf`` array call per model (which itself
-    replaced one scalar call per abscissa in the seed).  ``executor``
-    accepts any :class:`repro.executors.Executor`; the default executes
-    the plans in-process against the live models (no rebuild).  The
-    returned floats are identical to ``model.rtt_quantile(probability,
-    method=method)`` per model — for every executor and worker count —
-    because the stacked rounds reproduce the per-model tail bits, so
-    every search follows its scalar trajectory; methods without a batch
-    formulation fall back to the per-model path inside the plans.
-    """
-    models = list(models)
-    if not models:
-        return []
-    plans = compile_eval_plans(models, probability, method=method, cost_model=cost_model)
-    if executor is None:
-        results = [
-            execute_plan(plan, models=[models[i] for i in plan.indices])
-            for plan in plans
-        ]
-    else:
-        results = executor.run(plans)
-    out: list = [None] * len(models)
-    for result in results:
-        for index, value in zip(result.indices, result.values):
-            out[index] = value
-    return out
 
 
 def batch_queueing_tails(

@@ -1,10 +1,12 @@
 """Request-level serving of RTT lookups across many scenarios.
 
-:class:`~repro.engine.Engine` answers questions about *one* scenario;
-the dimensioning question of the paper, asked at production scale, is a
+The dimensioning question of the paper, asked at production scale, is a
 **stream of requests** spanning many scenarios at once ("the 99.999%
 ping time of preset X at load y", millions of times, across the whole
-preset catalogue).  :class:`Fleet` is the entry point for that workload:
+preset catalogue).  :class:`Fleet` is the entry point for that workload,
+and the one owner of exact quantiles in the package —
+:class:`~repro.engine.Engine` is a stateless per-scenario view whose
+every quantile is an ``exact=True`` request to a fleet:
 
 * requests are plain :class:`Request` values (or JSONL dictionaries, see
   the CLI's ``fleet`` subcommand) naming a scenario — preset name,
@@ -12,15 +14,14 @@ preset catalogue).  :class:`Fleet` is the entry point for that workload:
   operating point (downlink load or gamer count) and optional
   per-request quantile level and method;
 * :meth:`Fleet.serve` answers a whole batch in one pass: requests are
-  sharded by :meth:`Scenario.cache_key` onto internally-managed engines,
-  answered from a **shared bounded LRU cache** when possible, and the
-  misses of every (probability, method) group are evaluated together
-  through the stacked cross-model inverter
-  (:class:`~repro.core.rtt.QueueingMgfStack` driving
-  :func:`~repro.core.inversion.quantiles_from_mgfs`), so a heterogeneous
+  keyed by :meth:`Scenario.cache_key` and the rounded gamer count,
+  answered from a **shared bounded LRU cache** (or an attached certified
+  surface) when possible, and the misses of every (probability, method)
+  group are evaluated together through the stacked cross-model inverter
+  (:class:`~repro.core.rtt.QueueingMgfStack`), so a heterogeneous
   multi-scenario batch costs one joint array evaluation per search
-  round instead of one per model — with floats identical to per-point
-  :meth:`Engine.rtt_quantile` answers;
+  round instead of one per model — with floats identical to the scalar
+  ``model.rtt_quantile``;
 * serving is split into three explicit phases — **plan** (compile the
   batch's cache misses into picklable, self-contained
   :class:`~repro.core.rtt.EvalPlan` units, one chunk per
@@ -31,6 +32,12 @@ preset catalogue).  :class:`Fleet` is the entry point for that workload:
   results back through the shared cache, folding each plan's own
   counters into :class:`FleetStats`) — with floats bit-identical for
   every executor and worker count;
+* ``kind="admit"`` requests invert the load -> quantile relation
+  (:func:`~repro.core.dimensioning.admission_search`): a certified
+  surface answers in O(1) when it brackets the budget; otherwise each
+  admit's Brent search yields probe loads that are served as ordinary
+  exact requests, every round of the batch's searches one batch through
+  the same cache and plan path (and counted in :class:`FleetStats`);
 * the cache has a configurable entry budget; insertions beyond it evict
   the least-recently-used answers, and every cache event is surfaced in
   :class:`FleetStats`;
@@ -41,7 +48,9 @@ preset catalogue).  :class:`Fleet` is the entry point for that workload:
   :class:`~repro.errors.CacheFormatError` naming the offending key;
 * :class:`AsyncFleet` wraps the same pipeline for long-running asyncio
   services: ``await fleet.serve_async(...)`` keeps the event loop free
-  while the plans execute on a thread or process pool.
+  while the plans execute on a thread or process pool.  Planning,
+  assembly and every admit's search run on the loop thread, so the
+  loop is the fleet's one writer.
 
 Example::
 
@@ -65,11 +74,12 @@ import asyncio
 import json
 import os
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .core.dimensioning import AdmissionResult
+from .core.dimensioning import AdmissionResult, admission_search
+from .core.inversion import Search, drive, lockstep
 from .core.rtt import (
     DEFAULT_QUANTILE,
     QUANTILE_METHODS,
@@ -80,7 +90,6 @@ from .core.rtt import (
     execute_plan,
     plan_signature,
 )
-from .engine import Engine
 from .errors import CacheFormatError, ParameterError, ReproError, StabilityError
 from .persist import atomic_write_text
 from .scenarios.base import Scenario
@@ -335,6 +344,12 @@ class AdmissionAnswer:
 class FleetStats:
     """Cache and evaluation bookkeeping of one :class:`Fleet`.
 
+    ``requests`` counts every request served, admits' probes included:
+    an exact admit adds one request for itself (also counted in
+    ``admits``) plus one ``exact=True`` rtt request per load its search
+    probes, which land in ``cache_hits`` / ``cache_misses``,
+    ``evaluations`` and ``plans_executed`` like any other request.
+
     ``evaluations`` and ``stacked_mgf_calls`` are folded from the
     executed plans' own :class:`~repro.core.rtt.PlanResult` counters, so
     they are exact whether the plans ran in-process or on a process
@@ -378,8 +393,6 @@ class FleetStats:
     #: of them ran outside the serving process (a worker pool).
     plans_executed: int = 0
     remote_plans: int = 0
-    engines_built: int = 0
-    engines_evicted: int = 0
     warm_loaded: int = 0
     #: Request-coalescing counters (see :class:`repro.serve.RequestCoalescer`).
     coalesced_batches: int = 0
@@ -399,41 +412,14 @@ class FleetStats:
     #: Admission-control requests served, split by which tier inverted
     #: the load→quantile relation: ``admit_surface`` through a certified
     #: surface's O(1) lookup (zero evaluation plans executed),
-    #: ``admit_exact`` through the exact stacked path.
+    #: ``admit_exact`` through exact probe requests.
     admits: int = 0
     admit_surface: int = 0
     admit_exact: int = 0
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "requests": self.requests,
-            "batches": self.batches,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "surface_hits": self.surface_hits,
-            "surface_misses": self.surface_misses,
-            "surface_fallbacks": self.surface_fallbacks,
-            "evictions": self.evictions,
-            "evaluations": self.evaluations,
-            "stacked_mgf_calls": self.stacked_mgf_calls,
-            "plans_executed": self.plans_executed,
-            "remote_plans": self.remote_plans,
-            "engines_built": self.engines_built,
-            "engines_evicted": self.engines_evicted,
-            "warm_loaded": self.warm_loaded,
-            "coalesced_batches": self.coalesced_batches,
-            "coalesced_requests": self.coalesced_requests,
-            "deduped_inflight": self.deduped_inflight,
-            "hosts": {host: dict(entry) for host, entry in self.hosts.items()},
-            "executor_failures": dict(self.executor_failures),
-            "plan_costs": {
-                signature: dict(entry)
-                for signature, entry in self.plan_costs.items()
-            },
-            "admits": self.admits,
-            "admit_surface": self.admit_surface,
-            "admit_exact": self.admit_exact,
-        }
+        """Every counter, nested mappings copied (JSON-ready)."""
+        return asdict(self)
 
     @property
     def hit_rate(self) -> float:
@@ -444,6 +430,11 @@ class FleetStats:
 
 #: A fully-resolved cache key: (scenario key, gamers key, probability, method).
 _CacheKey = Tuple[str, float, float, str]
+
+
+def gamers_key(num_gamers: float) -> float:
+    """Float-stable cache key for an operating point (its gamer count)."""
+    return round(float(num_gamers), 9)
 
 
 @dataclass(frozen=True)
@@ -505,6 +496,29 @@ class _BatchPlan:
     plan_keys: List[List[_CacheKey]]
 
 
+def _merge(
+    requests: Sequence[Request],
+    admit_answers: Iterable[AdmissionAnswer],
+    rtt_answers: Iterable[Answer],
+) -> List[Union[Answer, AdmissionAnswer]]:
+    """Interleave the partitioned answers back into request order."""
+    admit_answers, rtt_answers = iter(admit_answers), iter(rtt_answers)
+    return [
+        next(admit_answers) if request.kind == "admit" else next(rtt_answers)
+        for request in requests
+    ]
+
+
+async def drive_async(search: Search[Any], evaluate) -> Any:
+    """:func:`~repro.core.dimensioning.drive` for an async ``evaluate``."""
+    try:
+        point = next(search)
+        while True:
+            point = search.send(await evaluate(point))
+    except StopIteration as stop:
+        return stop.value
+
+
 @dataclass(frozen=True)
 class _ResolvedAdmit:
     """An admit request resolved against its scenario and fleet defaults."""
@@ -517,19 +531,14 @@ class _ResolvedAdmit:
 
 
 class Fleet:
-    """Multiplexes RTT-quantile requests over engines and a shared cache.
+    """Serves RTT-quantile and admit requests through one shared cache.
 
     Parameters
     ----------
     max_cache_entries:
         Entry budget of the shared answer cache; insertions beyond it
         evict the least-recently-used entries (``stats.evictions``).
-    max_engines:
-        Budget of internally-managed :class:`Engine` instances (one per
-        distinct scenario); the least-recently-used engine — with its
-        memoized models — is dropped beyond it.  Evicting an engine
-        never evicts served answers: recomputing after any eviction
-        returns bit-identical floats.
+        Recomputing an evicted answer returns the bit-identical float.
     probability / method:
         Defaults applied to requests that do not carry their own.
     cost_model:
@@ -537,25 +546,21 @@ class Fleet:
         (default: a fresh one seeded with static priors).  Every
         executed plan's measured ``exec_s`` is folded back by the
         assembly phase, so heterogeneous batches converge on
-        equal-cost chunks; the model is shared with the fleet's
-        engines and lent to executors exposing a ``cost_model``
-        attribute (LPT dispatch).  Purely a scheduling knob: any cost
-        model yields bit-identical floats.
+        equal-cost chunks; the model is lent to executors exposing a
+        ``cost_model`` attribute (LPT dispatch).  Purely a scheduling
+        knob: any cost model yields bit-identical floats.
     """
 
     def __init__(
         self,
         max_cache_entries: int = 100_000,
         *,
-        max_engines: int = 64,
         probability: float = DEFAULT_QUANTILE,
         method: str = "inversion",
         cost_model: Optional[CostModel] = None,
     ) -> None:
         if int(max_cache_entries) < 1:
             raise ParameterError("max_cache_entries must be at least 1")
-        if int(max_engines) < 1:
-            raise ParameterError("max_engines must be at least 1")
         if not 0.0 < probability < 1.0:
             raise ParameterError("probability must lie in (0, 1)")
         if method not in QUANTILE_METHODS:
@@ -563,15 +568,13 @@ class Fleet:
                 f"method must be one of {QUANTILE_METHODS}; got {method!r}"
             )
         self.max_cache_entries = int(max_cache_entries)
-        self.max_engines = int(max_engines)
         self.probability = float(probability)
         self.method = method
         self.cost_model = CostModel() if cost_model is None else cost_model
         self.stats = FleetStats()
         self._cache: "OrderedDict[_CacheKey, float]" = OrderedDict()
-        self._engines: "OrderedDict[str, Engine]" = OrderedDict()
-        #: scenario key -> Scenario; outlives engine eviction (needed to
-        #: persist cache entries and to rebuild engines on demand).
+        #: scenario key -> Scenario of the cached answers (needed to
+        #: persist cache entries); pruned as their answers are evicted.
         self._scenarios: Dict[str, Scenario] = {}
         #: Certified surfaces (None until attach_surfaces); surface
         #: answers are never stored into the exact answer cache.
@@ -581,11 +584,11 @@ class Fleet:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Fleet(max_cache_entries={self.max_cache_entries}, "
-            f"engines={len(self._engines)}, cached={len(self._cache)})"
+            f"cached={len(self._cache)})"
         )
 
     # ------------------------------------------------------------------
-    # Scenario and engine management
+    # Scenarios
     # ------------------------------------------------------------------
     @staticmethod
     def resolve_scenario(spec: ScenarioSpec):
@@ -596,10 +599,16 @@ class Fleet:
             return Scenario.from_dict(spec)
         return scenario_from_spec(spec)
 
-    def engine(self, spec: ScenarioSpec) -> Engine:
-        """The internally-managed engine for a scenario (LRU-touched)."""
-        scenario = self.resolve_scenario(spec)
-        return self._engine_for(scenario, scenario.cache_key())
+    def engine(self, spec: ScenarioSpec):
+        """An :class:`~repro.engine.Engine` view of a scenario on this fleet."""
+        from .engine import Engine
+
+        return Engine(
+            self.resolve_scenario(spec),
+            probability=self.probability,
+            method=self.method,
+            fleet=self,
+        )
 
     def resolve_request(
         self, request: Union[Request, Mapping[str, Any]]
@@ -649,7 +658,7 @@ class Fleet:
         method = self.method if request.method is None else request.method
         key: _CacheKey = (
             scenario_key,
-            Engine._gamers_key(num_gamers),
+            gamers_key(num_gamers),
             probability,
             method,
         )
@@ -664,25 +673,6 @@ class Fleet:
             key=key,
             exact=request.exact,
         )
-
-    def _engine_for(self, scenario: Scenario, key: str) -> Engine:
-        engine = self._engines.get(key)
-        if engine is None:
-            engine = Engine(
-                scenario,
-                probability=self.probability,
-                method=self.method,
-                cost_model=self.cost_model,
-            )
-            self._engines[key] = engine
-            self._scenarios[key] = scenario
-            self.stats.engines_built += 1
-            while len(self._engines) > self.max_engines:
-                self._engines.popitem(last=False)
-                self.stats.engines_evicted += 1
-        else:
-            self._engines.move_to_end(key)
-        return engine
 
     # ------------------------------------------------------------------
     # Certified surfaces (the O(1) warm tier; see repro.surface)
@@ -738,6 +728,22 @@ class Fleet:
             self._surface_max_bound = float(max_bound)
         return count
 
+    def surface_for(self, scenario_key: str, method: str) -> Optional[QuantileSurface]:
+        """The attached surface this fleet serves for (scenario, method).
+
+        ``None`` when no surface is attached for the pair or the
+        fleet's ``max_bound`` caps it out.
+        """
+        if self._surfaces is None:
+            return None
+        surface = self._surfaces.get(scenario_key, method)
+        if surface is None or (
+            self._surface_max_bound is not None
+            and surface.certified_rel_bound > self._surface_max_bound
+        ):
+            return None
+        return surface
+
     # ------------------------------------------------------------------
     # The shared bounded cache
     # ------------------------------------------------------------------
@@ -750,23 +756,23 @@ class Fleet:
         return list(self._cache)
 
     def clear_cache(self) -> None:
-        """Drop every cached answer, engine and scenario (stats are kept)."""
+        """Drop every cached answer and scenario (stats are kept)."""
         self._cache.clear()
-        self._engines.clear()
         self._scenarios.clear()
 
     def _prune_scenarios(self) -> None:
-        """Drop scenarios no longer referenced by an engine or a cache entry.
+        """Drop scenarios no longer referenced by a cache entry.
 
         The scenario map exists so :meth:`save_cache` can persist the
-        parameters behind every cached answer; once both the engine and
-        the last answer of a scenario have been evicted, keeping it
-        would be an unbounded leak under a many-scenario request stream.
+        parameters behind every cached answer; once the last answer of
+        a scenario has been evicted, keeping it would be an unbounded
+        leak under a many-scenario request stream.  The map never holds
+        more scenarios than the cache holds entries, so the scan runs
+        only once unreferenced scenarios outnumber the cached answers.
         """
-        if len(self._scenarios) <= len(self._engines):
+        if len(self._scenarios) <= len(self._cache):
             return
-        referenced = set(self._engines)
-        referenced.update(key[0] for key in self._cache)
+        referenced = {key[0] for key in self._cache}
         for scenario_key in [k for k in self._scenarios if k not in referenced]:
             del self._scenarios[scenario_key]
 
@@ -802,14 +808,15 @@ class Fleet:
         Duplicate operating points within the batch are evaluated once;
         every answer carries ``cached`` telling whether it was served
         without any evaluation.  The floats are bit-identical for every
-        executor and worker count (and to per-point
-        :meth:`Engine.rtt_quantile` answers).
+        executor and worker count (and to the scalar
+        ``model.rtt_quantile``).
 
         ``kind="admit"`` requests ride the same stream: they are
-        partitioned out before planning, answered through
-        :meth:`admit` (an :class:`AdmissionAnswer` each, from a
-        certified surface where one brackets the budget, the exact path
-        otherwise) and merged back in request order.
+        partitioned out before planning and answered with an
+        :class:`AdmissionAnswer` each — from a certified surface where
+        one brackets the budget; otherwise their load searches run in
+        lockstep, each round's probes served as one batch on the same
+        ``executor`` — then merged back in request order.
         """
         materialized = [
             request if isinstance(request, Request) else Request.from_dict(request)
@@ -826,12 +833,12 @@ class Fleet:
         rtt_requests = [r for r in materialized if r.kind != "admit"]
         batch_plan = self._plan_batch(rtt_requests)
         results = self._execute_plans(batch_plan.eval_plans, executor)
-        rtt_answers = iter(self._assemble(batch_plan, results))
-        admit_answers = iter(self._answer_admit(item) for item in admit_resolved)
-        return [
-            next(admit_answers) if request.kind == "admit" else next(rtt_answers)
-            for request in materialized
-        ]
+        rtt_answers = self._assemble(batch_plan, results)
+        admit_answers = drive(
+            self._admit_rounds(admit_resolved),
+            lambda probes: self._quantiles(probes, executor),
+        )
+        return _merge(materialized, admit_answers, rtt_answers)
 
     def _plan_batch(
         self, requests: Iterable[Union[Request, Mapping[str, Any]]]
@@ -840,9 +847,9 @@ class Fleet:
 
         Every request of the batch is resolved and validated —
         operating-point range and downlink/uplink stability — *before*
-        any serving state (statistics, engine LRU, cache recency) is
+        any serving state (statistics, scenarios, cache recency) is
         touched, so a batch poisoned by one bad request raises without
-        mutating the fleet: counters, cache order and engines are
+        mutating the fleet: counters, cache order and scenarios are
         exactly as they were.
         """
         # Resolve and validate without mutating any serving state.  The
@@ -850,11 +857,12 @@ class Fleet:
         # the error belongs here — and must fire before any bookkeeping.
         resolved = [self.resolve_request(request) for request in requests]
 
-        # The whole batch is valid: account for it and touch the engines.
+        # The whole batch is valid: account for it and register the
+        # scenarios its answers will be cached under.
         self.stats.batches += 1
         self.stats.requests += len(resolved)
         for item in resolved:
-            self._engine_for(item.scenario, item.key[0])
+            self._scenarios.setdefault(item.key[0], item.scenario)
 
         # Probe the cache, then any attached certified surfaces; collect
         # the distinct misses.  The exact answer cache wins over a
@@ -1042,63 +1050,82 @@ class Fleet:
             method=method,
         )
 
-    def _answer_admit(self, item: "_ResolvedAdmit") -> AdmissionAnswer:
-        """Answer one resolved admit request through the scenario engine.
+    def _admit_rounds(
+        self, items: Sequence["_ResolvedAdmit"]
+    ) -> Search[List[AdmissionAnswer]]:
+        """The load searches of resolved admits, advanced in lockstep.
 
-        A certified surface attached to this fleet for the (scenario,
-        method) — and not capped out by ``max_bound`` — is handed to
-        the engine, whose :meth:`Engine.admit` inverts the budget on
-        the surface's O(1) lookup when it certifies the root in-region
-        (zero evaluation plans executed) and falls back to the exact
-        stacked path otherwise; ``exact=True`` requests skip the
-        surface outright.
+        Each round yields one ``exact=True`` rtt probe request per
+        still-searching admit and is sent their quantiles (seconds), in
+        order; returns the :class:`AdmissionAnswer` of every admit.  A
+        certified surface attached for the (scenario, method) — and not
+        capped out by ``max_bound`` — answers its admit in O(1) before
+        the first round; ``exact=True`` admits skip surfaces.  A batch
+        of surface admits therefore finishes without yielding.
         """
-        request = item.request
-        self.stats.requests += 1
-        self.stats.admits += 1
-        engine = self._engine_for(item.scenario, item.scenario_key)
-        if self._surfaces is not None and not request.exact:
-            surface = self._surfaces.get(item.scenario_key, item.method)
-            if surface is not None and (
-                self._surface_max_bound is None
-                or surface.certified_rel_bound <= self._surface_max_bound
-            ):
-                engine.attach_surface(surface)
-        result = engine.admit(
-            float(request.rtt_budget_ms) / 1e3,
-            item.probability,
-            item.method,
-            load=(
-                None
-                if request.downlink_load is None
-                else float(request.downlink_load)
-            ),
-            num_gamers=(
-                None if request.num_gamers is None else float(request.num_gamers)
-            ),
-            exact=request.exact,
-        )
-        if result.source == "surface":
-            self.stats.admit_surface += 1
-        else:
-            self.stats.admit_exact += 1
-        return AdmissionAnswer(
-            scenario_key=item.scenario_key,
-            method=item.method,
-            result=result,
-            tag=request.tag,
-        )
+        searches = []
+        for item in items:
+            request = item.request
+            self.stats.requests += 1
+            self.stats.admits += 1
+            searches.append(
+                admission_search(
+                    item.scenario,
+                    float(request.rtt_budget_ms) / 1e3,
+                    item.probability,
+                    surface=(
+                        None
+                        if request.exact
+                        else self.surface_for(item.scenario_key, item.method)
+                    ),
+                    load=request.downlink_load,
+                    num_gamers=request.num_gamers,
+                )
+            )
+
+        def probe(index: int, load: float) -> Request:
+            item = items[index]
+            return Request(
+                item.scenario,
+                downlink_load=load,
+                probability=item.probability,
+                method=item.method,
+                exact=True,
+            )
+
+        results = yield from lockstep(searches, probe)
+        answers = []
+        for item, result in zip(items, results):
+            if result.source == "surface":
+                self.stats.admit_surface += 1
+            else:
+                self.stats.admit_exact += 1
+            answers.append(
+                AdmissionAnswer(
+                    scenario_key=item.scenario_key,
+                    method=item.method,
+                    result=result,
+                    tag=item.request.tag,
+                )
+            )
+        return answers
+
+    def _quantiles(self, probes: Sequence[Request], executor=None) -> List[float]:
+        """Serve a round of admit probes; their RTT quantiles in order."""
+        return [answer.rtt_quantile_s for answer in self.serve(probes, executor=executor)]
 
     def admit(self, request: Union[Request, Mapping[str, Any]]) -> AdmissionAnswer:
         """Serve one admission-control request.
 
         "Can this scenario take (more) gamers and keep the
         ``probability`` RTT quantile under ``rtt_budget_ms``?" — see
-        :meth:`Engine.admit` for the semantics (an unmeetable budget is
-        ``admitted=False``, never an error) and :meth:`serve` for
-        mixing admits into a request stream.
+        :func:`~repro.core.dimensioning.admission_search` for the
+        semantics (an unmeetable budget is ``admitted=False``, never an
+        error) and :meth:`serve` for mixing admits into a request
+        stream.
         """
-        return self._answer_admit(self._resolve_admit(request))
+        rounds = self._admit_rounds([self._resolve_admit(request)])
+        return drive(rounds, self._quantiles)[0]
 
     # ------------------------------------------------------------------
     # Cache persistence
@@ -1254,7 +1281,7 @@ class Fleet:
             # raw float whose entry no lookup would ever hit otherwise.
             key: _CacheKey = (
                 keys[stored_key],
-                Engine._gamers_key(num_gamers),
+                gamers_key(num_gamers),
                 probability,
                 method,
             )
@@ -1323,9 +1350,10 @@ class AsyncFleet:
         """Asynchronous :meth:`Fleet.serve`: plan inline, await execute.
 
         ``kind="admit"`` requests are partitioned out before planning
-        and answered on the loop's default thread pool (the exact
-        fallback path runs evaluation plans), then merged back in
-        request order — matching :meth:`Fleet.serve`.
+        and answered on the loop like :meth:`Fleet.serve` answers them:
+        surface admits inline, exact ones by awaiting one
+        :meth:`serve_async` batch per round of their load searches.
+        They are merged back in request order.
         """
         executor = self.executor if executor is None else executor
         fleet = self.fleet
@@ -1350,17 +1378,13 @@ class AsyncFleet:
         answers = fleet._assemble(batch_plan, results)
         if not admits:
             return answers
-        admit_answers = iter(
-            [
-                await loop.run_in_executor(None, fleet._answer_admit, item)
-                for item in admit_resolved
-            ]
-        )
-        rtt_answers = iter(answers)
-        return [
-            next(admit_answers) if request.kind == "admit" else next(rtt_answers)
-            for request in materialized
-        ]
+
+        async def quantiles(probes: List[Request]) -> List[float]:
+            served = await self.serve_async(probes, executor=executor)
+            return [answer.rtt_quantile_s for answer in served]
+
+        admit_answers = await drive_async(fleet._admit_rounds(admit_resolved), quantiles)
+        return _merge(materialized, admit_answers, answers)
 
     async def request_async(
         self,

@@ -79,8 +79,8 @@ class ScenarioSerializationMixin:
         """Canonical sharding/cache key of the scenario.
 
         A short hex digest of :meth:`canonical_json`, stable across
-        processes, used by :class:`repro.fleet.Fleet` to shard requests
-        onto engines and to key persisted caches.  Equal scenarios —
+        processes, used by :class:`repro.fleet.Fleet` to key its answer cache
+        and persisted caches.  Equal scenarios —
         however they were constructed — share the key; any parameter
         change produces a different one.
         """

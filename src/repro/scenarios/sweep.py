@@ -3,7 +3,7 @@
 A sweep evaluates the RTT quantile over a range of downlink loads for
 one or more scenario variants and returns the series the paper plots.
 The evaluation itself is delegated to :class:`repro.engine.Engine`, so
-every operating point is built and inverted at most once; this module
+the grid is one stacked batch through the engine's fleet; this module
 keeps the series containers and the historical :func:`sweep_loads`
 entry point.
 """

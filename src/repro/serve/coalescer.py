@@ -25,11 +25,16 @@ exactly that:
   The ``exact`` flag is part of the flight key because an ``exact=True``
   request must never ride an in-flight value that a certified surface
   may have answered (within its bound, but not bit-identical);
-* admission-control requests (``Request(kind="admit", ...)``) are
-  single-flighted the same way, keyed on the full admit tuple
-  ``(scenario, method, probability, budget, proposed point, exact)``:
-  concurrent identical admits share one capacity inversion, and the
-  duplicates count into ``deduped_inflight`` exactly like rtt dedups;
+* admission-control requests (``Request(kind="admit", ...)``) run their
+  load search on the loop: a certified surface answers inline, without
+  a window; an exact admit submits each Brent probe as an ordinary
+  ``exact=True`` rtt request, so concurrent exact admits share
+  coalescing windows, single-flights and stacked rounds with each other
+  and with the rest of the stream.  Identical concurrent admits are
+  single-flighted on the full admit tuple ``(scenario, method,
+  probability, budget, proposed point, exact)``: they share one search,
+  and the duplicates count into ``deduped_inflight`` exactly like rtt
+  dedups;
 * a window that dies with :class:`~repro.errors.ExecutorBrokenError`
   (a worker-pool process was killed underneath it) is retried once on
   the freshly respawned pool, so transient worker faults cost latency,
@@ -37,8 +42,9 @@ exactly that:
 
 Bookkeeping lands in the owning fleet's :class:`~repro.fleet.FleetStats`:
 ``coalesced_batches`` windows flushed, ``coalesced_requests`` requests
-carried by them, ``deduped_inflight`` requests answered by attaching to
-an in-flight evaluation.
+carried by them (admit probes included), ``deduped_inflight`` requests
+answered by attaching to an in-flight evaluation.  Every fleet write
+happens on the loop thread; only plan execution leaves it.
 
 Example::
 
@@ -63,6 +69,7 @@ from ..fleet import (
     FleetStats,
     Request,
     ResolvedRequest,
+    drive_async,
 )
 
 __all__ = ["RequestCoalescer"]
@@ -197,10 +204,10 @@ class RequestCoalescer:
         request raises here, in the caller, and never poisons the window
         the other callers are riding in.  The answer future resolves
         when the request's window (or the in-flight evaluation it was
-        attached to) completes.  ``kind="admit"`` requests skip the
-        batching window — an admission check is one inversion, not a
-        stackable quantile — but identical concurrent admits are
-        single-flighted and return one shared :class:`AdmissionAnswer`.
+        attached to) completes.  ``kind="admit"`` requests are answered
+        by their load search, whose probes are submitted like any other
+        request; identical concurrent admits are single-flighted and
+        return one shared :class:`AdmissionAnswer`.
         """
         if self._closed:
             raise ReproError("the request coalescer is closed")
@@ -208,6 +215,10 @@ class RequestCoalescer:
             request = Request.from_dict(request)
         if request.kind == "admit":
             return await self._submit_admit(request)
+        return await self._submit_rtt(request)
+
+    async def _submit_rtt(self, request: Request) -> Answer:
+        """Window (or single-flight) one rtt request; no closed check."""
         resolved = self.fleet.resolve_request(request)
         inflight = self._inflight.get(_flight_key(resolved))
         if inflight is not None:
@@ -230,10 +241,9 @@ class RequestCoalescer:
         """Answer one admit request, single-flighting identical ones.
 
         The request is resolved (and validated) synchronously so a bad
-        admit raises in its own caller; the inversion itself runs on the
-        loop's default thread pool — it is either an O(1) surface lookup
-        plus ``brentq`` or a short exact bisection, never a stacked
-        batch, so it does not ride the coalescing window.
+        admit raises in its own caller.  Its load search then runs on
+        the loop: a surface admit finishes inline, an exact one awaits
+        each Brent probe as an ``exact=True`` rtt :meth:`submit`.
         """
         item = self.fleet._resolve_admit(request)
         key = _admit_key(request, item.scenario_key, item.probability, item.method)
@@ -246,8 +256,8 @@ class RequestCoalescer:
         future.add_done_callback(_mark_retrieved)
         self._admit_inflight[key] = future
         try:
-            answer = await loop.run_in_executor(
-                None, self.fleet._answer_admit, item
+            (answer,) = await drive_async(
+                self.fleet._admit_rounds([item]), self._probe_quantiles
             )
         except BaseException as exc:
             if not future.done():
@@ -260,6 +270,11 @@ class RequestCoalescer:
         finally:
             if self._admit_inflight.get(key) is future:
                 del self._admit_inflight[key]
+
+    async def _probe_quantiles(self, probes: List[Request]) -> List[float]:
+        """Submit one round of admit probes; their RTT quantiles in order."""
+        answers = await asyncio.gather(*(self._submit_rtt(probe) for probe in probes))
+        return [answer.rtt_quantile_s for answer in answers]
 
     async def submit_many(
         self, requests: Iterable[Union[Request, Mapping[str, Any]]]
@@ -376,14 +391,17 @@ class RequestCoalescer:
     # Draining
     # ------------------------------------------------------------------
     async def drain(self) -> None:
-        """Flush the pending window and wait for every in-flight window.
+        """Flush the pending window and wait for every in-flight window
+        and admit search (whose later probes open windows of their own).
 
         Errors stay with their waiters (each ``submit`` caller sees its
         own window's exception); draining itself never raises.
         """
         self._flush()
-        while self._windows:
-            await asyncio.gather(*list(self._windows), return_exceptions=True)
+        while self._windows or self._admit_inflight:
+            await asyncio.gather(
+                *self._windows, *self._admit_inflight.values(), return_exceptions=True
+            )
 
     async def aclose(self) -> None:
         """Stop accepting submissions, then :meth:`drain` (idempotent)."""

@@ -23,26 +23,29 @@ margin).  The certified bound is stored on the surface and rechecked
 by the test suite and the benchmark gate against fresh exact
 evaluations.
 
-All exact evaluations go through :class:`repro.engine.Engine`, so a
-shared engine amortizes model builds across ladder levels, probe
-grids and methods — and any previously memoized points are free.
+All exact evaluations are ``exact=True`` requests through a
+:class:`repro.engine.Engine` and so through its fleet: each grid is one
+stacked batch, and points the fleet's answer cache already holds (from
+a shared engine, a lower ladder level or another method) are free.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.polynomial import chebyshev
 
 from ..core.rtt import QUANTILE_METHODS
-from ..engine import Engine
 from ..errors import ConvergenceError, ParameterError
 from ..scenarios.base import Scenario
 from ..scenarios.mix import MixScenario
 from ..scenarios.registry import scenario_from_spec
 from .lookup import QuantileSurface, SurfaceIndex
+
+if TYPE_CHECKING:  # the engine imports the fleet, which imports this package
+    from ..engine import Engine
 
 __all__ = ["GRID_LADDER", "build_surface", "build_surfaces"]
 
@@ -220,6 +223,8 @@ def build_surface(
         )
 
     if engine is None:
+        from ..engine import Engine
+
         engine = Engine(scenario, method=method)
     elif engine.scenario != scenario:
         raise ParameterError(
@@ -301,8 +306,8 @@ def build_surfaces(
     ``methods`` is a sequence of method names, a single name, or
     ``"all"``/``None`` for every method in
     :data:`~repro.core.rtt.QUANTILE_METHODS`.  One shared
-    :class:`Engine` serves all builds, so operating points revisited
-    across methods reuse their memoized models.  Keyword arguments are
+    :class:`Engine` serves all builds, so they share its fleet's answer
+    cache.  Keyword arguments are
     forwarded to :func:`build_surface`.
     """
     scenario = _resolve_scenario(scenario)
@@ -315,6 +320,8 @@ def build_surfaces(
         raise ParameterError("methods must name at least one quantile method")
     engine = kwargs.pop("engine", None)
     if engine is None:
+        from ..engine import Engine
+
         engine = Engine(scenario)
     index = SurfaceIndex()
     for method in methods:

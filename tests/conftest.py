@@ -9,8 +9,32 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.rtt import compile_eval_plans, execute_plan
 from repro.scenarios import Scenario
 from repro.traffic.games import counter_strike, half_life, unreal_tournament
+
+
+@pytest.fixture(scope="session")
+def plan_quantiles():
+    """RTT quantiles of models through the plan layer, in model order.
+
+    The fixture is a function ``(models, probability, method="inversion",
+    executor=None)`` compiling the batch into stacked :class:`EvalPlan`
+    units and executing them in-process (or on ``executor``).
+    """
+
+    def run(models, probability, method="inversion", executor=None):
+        plans = compile_eval_plans(models, probability, method=method)
+        results = (
+            [execute_plan(plan) for plan in plans] if executor is None else executor.run(plans)
+        )
+        values = [None] * len(models)
+        for result in results:
+            for index, value in zip(result.indices, result.values):
+                values[index] = value
+        return values
+
+    return run
 
 
 @pytest.fixture()

@@ -10,10 +10,12 @@ requests raise typed errors (no bare KeyError/ValueError escapes).
 """
 
 import asyncio
+import gc
 import json
 
 import pytest
 
+from repro.core.rtt import ComposedRttModel
 from repro.engine import Engine
 from repro.errors import ParameterError, ReproError
 from repro.fleet import AdmissionAnswer, Fleet, Request
@@ -292,6 +294,20 @@ class TestSurfaceAdmit:
         )
         assert answer.source == "exact"
 
+    def test_tightened_max_bound_applies_to_admits(
+        self, paper_surface, in_region_budget_ms
+    ):
+        fleet = Fleet(probability=PROBABILITY)
+        fleet.attach_surfaces(paper_surface)
+        request = Request(PRESET, kind="admit", rtt_budget_ms=in_region_budget_ms)
+        assert fleet.admit(request).source == "surface"
+        fleet.attach_surfaces([], max_bound=paper_surface.certified_rel_bound / 10.0)
+        fleet.serve([Request(PRESET, downlink_load=0.45)])
+        assert fleet.stats.surface_fallbacks == 1
+        assert fleet.admit(request).source == "exact"
+        engine = fleet.engine(PRESET)
+        assert engine.admit(in_region_budget_ms / 1e3).source == "exact"
+
     def test_engine_dimension_routes_through_the_surface(
         self, paper_surface, in_region_budget_ms
     ):
@@ -303,9 +319,40 @@ class TestSurfaceAdmit:
         engine.attach_surface(paper_surface)
         surfaced = engine.dimension(in_region_budget_ms / 1e3)
         # The surface answered: no quantile was evaluated on the stack.
-        assert engine.stats.quantile_evaluations == 0
+        assert engine.fleet.stats.evaluations == 0
+        assert engine.fleet.stats.requests == 0
         assert surfaced.max_load == pytest.approx(exact.max_load, rel=5e-3)
         assert surfaced.max_gamers in (exact.max_gamers - 1, exact.max_gamers)
+
+
+def _live_models() -> int:
+    gc.collect()
+    return sum(isinstance(item, ComposedRttModel) for item in gc.get_objects())
+
+
+class TestExactAdmitStorm:
+    def test_exact_admits_are_counted_and_bounded(self):
+        before = _live_models()
+        fleet = Fleet(max_cache_entries=16, probability=PROBABILITY)
+        presets = ("paper-dsl", "ftth", "cable", "lte")
+        for index in range(80):
+            answer = fleet.admit(
+                Request(
+                    presets[index % 4],
+                    kind="admit",
+                    rtt_budget_ms=30.0 + index,
+                    exact=True,
+                )
+            )
+            assert answer.source == "exact"
+        stats = fleet.stats
+        assert stats.admits == stats.admit_exact == 80
+        assert stats.evaluations > 80
+        assert stats.plans_executed > 80
+        # Every probe is a request: the admits plus their probes.
+        assert stats.requests == 80 + stats.cache_hits + stats.cache_misses
+        assert fleet.cache_size() <= 16
+        assert _live_models() <= before
 
 
 class TestCoalescerAdmit:
@@ -364,6 +411,89 @@ class TestCoalescerAdmit:
             return good
 
         assert asyncio.run(main()).max_gamers > 0
+
+    def test_fleet_state_is_written_on_the_loop_only(
+        self, paper_surface, in_region_budget_ms
+    ):
+        requests = [
+            Request(PRESET, downlink_load=0.7),  # LRU hit (out of region)
+            Request(PRESET, downlink_load=0.45),  # surface hit
+            Request("ftth", downlink_load=0.41),  # cold exact
+            Request(PRESET, kind="admit", rtt_budget_ms=in_region_budget_ms),
+            Request("ftth", kind="admit", rtt_budget_ms=60.0, exact=True),
+            Request(PRESET, kind="admit", rtt_budget_ms=45.0, exact=True),
+        ]
+
+        async def main():
+            fleet = Fleet(probability=PROBABILITY)
+            fleet.attach_surfaces(paper_surface)
+            fleet.serve([Request(PRESET, downlink_load=0.7)])
+            loop = asyncio.get_running_loop()
+            hopped = []
+            original = loop.run_in_executor
+
+            def spy(executor, func, *args):
+                hopped.append(func)
+                return original(executor, func, *args)
+
+            loop.run_in_executor = spy
+            coalescer = RequestCoalescer(fleet, max_delay_ms=1.0)
+            answers = await coalescer.submit_many(requests)
+            await coalescer.aclose()
+            return fleet, hopped, answers
+
+        fleet, hopped, answers = asyncio.run(main())
+        assert answers[0].cached and answers[1].cached and not answers[2].cached
+        assert [a.source for a in answers[3:]] == ["surface", "exact", "exact"]
+        assert fleet.stats.surface_hits == 1
+        assert fleet.stats.cache_hits >= 1
+        fleet_methods = {
+            func.__name__ for func in hopped if getattr(func, "__self__", None) is fleet
+        }
+        assert fleet_methods == {"_execute_plans"}
+
+    def test_aclose_waits_for_an_exact_admit_in_flight(self):
+        async def main():
+            coalescer = RequestCoalescer(Fleet(probability=PROBABILITY))
+            admit = asyncio.ensure_future(
+                coalescer.submit(
+                    Request(PRESET, kind="admit", rtt_budget_ms=60.0, exact=True)
+                )
+            )
+            await asyncio.sleep(0.005)  # the search is between probes
+            await coalescer.aclose()
+            return admit.done(), await admit
+
+        done, answer = asyncio.run(main())
+        assert done
+        assert answer.source == "exact" and answer.admitted
+
+    def test_concurrent_exact_admits_share_windows(self):
+        budgets = [40.0 + 5.0 * index for index in range(8)]
+
+        async def main():
+            fleet = Fleet(probability=PROBABILITY)
+            coalescer = RequestCoalescer(fleet, max_delay_ms=2.0)
+            answers = await coalescer.submit_many(
+                [
+                    Request(PRESET, kind="admit", rtt_budget_ms=budget, exact=True)
+                    for budget in budgets
+                ]
+            )
+            await coalescer.aclose()
+            return fleet.stats, answers
+
+        stats, answers = asyncio.run(main())
+        probes = stats.coalesced_requests + stats.deduped_inflight
+        assert stats.admits == stats.admit_exact == len(budgets)
+        assert stats.plans_executed > 0
+        assert 0 < stats.coalesced_batches < probes
+        reference = Fleet(probability=PROBABILITY)
+        for budget, answer in zip(budgets, answers):
+            expected = reference.admit(
+                Request(PRESET, kind="admit", rtt_budget_ms=budget, exact=True)
+            )
+            assert answer.result == expected.result
 
 
 async def _post(reader, writer, path, record):

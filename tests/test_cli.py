@@ -338,7 +338,7 @@ class TestFleetCommand:
             json.loads(line) for line in capsys.readouterr().out.strip().splitlines()
         ]
         assert cold[0]["tag"] == "mix"
-        expected = Engine(get_scenario("multi-game-dsl")).rtt_quantile(0.4)
+        expected = get_scenario("multi-game-dsl").model_at_load(0.4).rtt_quantile(0.99999)
         assert cold[0]["rtt_quantile_s"] == expected
         # The persisted cache round-trips the mix scenario document.
         assert main(args) == 0

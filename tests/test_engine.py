@@ -1,18 +1,20 @@
-"""Tests for the cached Engine facade.
+"""Tests for the Engine, a per-scenario view over a Fleet.
 
-The cache contract: hits must return *identical* floats to the uncached
-paths (``Scenario.model_at_load(...).rtt_quantile(...)``,
-``sweep_loads`` and ``max_tolerable_load``), while constructing strictly
-fewer :class:`PingTimeModel` instances.
+The contract: every quantile is served by the engine's fleet, so hits
+return *identical* floats to the uncached paths
+(``Scenario.model_at_load(...).rtt_quantile(...)``, ``sweep_loads`` and
+``max_tolerable_load``) and are counted in the fleet's statistics, while
+the engine itself holds no per-point state.
 """
 
 import pytest
 
 from repro.core.dimensioning import max_tolerable_load
 from repro.core.rtt import model_build_count, reset_model_build_count
-from repro.engine import Engine, EngineStats
+from repro.engine import Engine
 from repro.errors import ParameterError
-from repro.scenarios import PAPER_BASELINE, Scenario, sweep_loads
+from repro.fleet import Fleet
+from repro.scenarios import PAPER_BASELINE, Scenario, get_scenario, sweep_loads
 
 TICK40 = Scenario(tick_interval_s=0.040)
 
@@ -37,15 +39,32 @@ class TestConstruction:
         with pytest.raises(ParameterError):
             Engine(PAPER_BASELINE, method="magic")
 
+    def test_serves_through_the_given_fleet(self):
+        fleet = Fleet()
+        engine = Engine(TICK40, fleet=fleet)
+        assert engine.fleet is fleet
+        engine.rtt_quantile(0.40)
+        assert fleet.stats.evaluations == 1
+        assert isinstance(Engine(TICK40).fleet, Fleet)
 
-class TestCaching:
+    def test_holds_no_per_point_state(self):
+        engine = Engine(TICK40)
+        before = dict(vars(engine))
+        engine.sweep([0.2, 0.4])
+        engine.dimension(0.050)
+        assert vars(engine) == before
+        assert set(before) == {"scenario", "probability", "method", "fleet"}
+
+
+class TestFleetServing:
     def test_cache_hit_returns_identical_result(self):
         engine = Engine(TICK40)
+        reset_model_build_count()
         first = engine.rtt_quantile(0.40)
         second = engine.rtt_quantile(0.40)
         assert first == second  # bitwise identical, not approx
-        assert engine.stats.quantile_cache_hits == 1
-        assert engine.stats.model_builds == 1
+        assert engine.fleet.stats.cache_hits == 1
+        assert model_build_count() == 1
 
     def test_cached_matches_uncached_path(self):
         engine = Engine(TICK40)
@@ -55,35 +74,51 @@ class TestCaching:
             # Ask again: the hit must still agree with the uncached value.
             assert engine.rtt_quantile(load) == uncached
 
-    def test_model_cache_shared_between_load_and_gamers(self):
-        engine = Engine(TICK40)
-        gamers = TICK40.gamers_at_load(0.40)
-        model_a = engine.model_at_load(0.40)
-        model_b = engine.model_for_gamers(gamers)
-        assert model_a is model_b
-        assert engine.stats.model_builds == 1
-
     def test_distinct_probabilities_are_distinct_entries(self):
         engine = Engine(TICK40)
         q99 = engine.rtt_quantile(0.40, probability=0.99)
         q99999 = engine.rtt_quantile(0.40, probability=0.99999)
         assert q99 < q99999
-        assert engine.stats.model_builds == 1  # same model, two inversions
+        assert engine.fleet.stats.evaluations == 2
 
-    def test_clear_cache_forces_rebuild(self):
+    def test_clear_cache_forces_reevaluation(self):
         engine = Engine(TICK40)
         engine.rtt_quantile(0.40)
-        engine.clear_cache()
+        engine.fleet.clear_cache()
         engine.rtt_quantile(0.40)
-        assert engine.stats.model_builds == 2
+        assert engine.fleet.stats.evaluations == 2
 
-    def test_stats_as_dict(self):
-        stats = EngineStats(model_builds=2, quantile_cache_hits=1)
-        assert stats.as_dict()["model_builds"] == 2
+    def test_engines_on_one_fleet_share_answers(self):
+        fleet = Fleet()
+        value = Engine(TICK40, fleet=fleet).rtt_quantile(0.40)
+        assert Engine(TICK40, fleet=fleet).rtt_quantile(0.40) == value
+        assert fleet.stats.evaluations == 1
+        assert fleet.engine(TICK40).rtt_quantile(0.40) == value
 
     def test_rejects_subunit_gamer_loads(self):
         with pytest.raises(ParameterError, match="fewer than one gamer"):
             Engine(TICK40).rtt_quantile(1e-4)
+
+    def test_bounded_by_the_fleet_cache(self):
+        engine = Engine(TICK40, fleet=Fleet(max_cache_entries=3))
+        loads = [0.2, 0.3, 0.4, 0.5, 0.6]
+        series = engine.sweep(loads)
+        assert len(series.points) == 5
+        assert engine.fleet.cache_size() == 3
+        assert engine.fleet.stats.evictions == 2
+        # The answers match the scalar path bit for bit.
+        assert [p.rtt_quantile_s for p in series.points] == [
+            TICK40.model_at_load(load).rtt_quantile(0.99999) for load in loads
+        ]
+
+    def test_evicted_answer_recomputes_bit_identical(self):
+        reference = TICK40.model_at_load(0.2).rtt_quantile(0.99999)
+        engine = Engine(TICK40, fleet=Fleet(max_cache_entries=1))
+        first = engine.rtt_quantile(0.2)
+        engine.rtt_quantile(0.5)  # evicts the 0.2 answer
+        again = engine.rtt_quantile(0.2)
+        assert first == again == reference
+        assert engine.fleet.stats.evaluations == 3
 
 
 class TestSweep:
@@ -97,21 +132,32 @@ class TestSweep:
 
     def test_sweep_builds_each_point_once(self):
         engine = Engine(TICK40)
-        loads = [0.2, 0.4, 0.2, 0.4, 0.6]  # duplicates are cache hits
+        loads = [0.2, 0.4, 0.2, 0.4, 0.6]  # duplicates are evaluated once
+        reset_model_build_count()
         series = engine.sweep(loads)
         assert len(series.points) == 5
-        assert engine.stats.model_builds == 3
-        assert engine.stats.quantile_evaluations == 3
+        assert model_build_count() == 3
+        assert engine.fleet.stats.evaluations == 3
 
     def test_repeated_sweeps_reuse_the_cache(self):
         engine = Engine(TICK40)
+        reset_model_build_count()
         engine.sweep([0.2, 0.4])
         engine.sweep([0.2, 0.4])
-        assert engine.stats.model_builds == 2
+        assert model_build_count() == 2
 
     def test_sweep_default_grid(self):
         series = Engine(TICK40).sweep()
         assert len(series.points) == 18
+
+    @pytest.mark.parametrize("preset", ["paper-dsl", "multi-game-dsl"])
+    def test_sweep_points_carry_the_models_own_loads(self, preset):
+        scenario = get_scenario(preset)
+        series = Engine(scenario).sweep()
+        for point in series.points:
+            model = scenario.model_at_load(point.downlink_load)
+            assert point.uplink_load == model.uplink_load
+            assert point.num_gamers == model.num_gamers
 
     def test_batch_quantiles(self):
         engine = Engine(TICK40)
@@ -119,7 +165,7 @@ class TestSweep:
         assert values == [engine.rtt_quantile(0.2), engine.rtt_quantile(0.4)]
 
     def test_sweep_batch_returns_the_exact_cached_floats(self):
-        # The vectorized batch path must return the very same floats the
+        # The stacked batch path must return the very same floats the
         # cache holds from earlier per-point evaluations: the batch is an
         # optimisation, not an approximation.
         loads = [0.2, 0.4, 0.6]
@@ -128,21 +174,20 @@ class TestSweep:
         series = warm.sweep(loads)
         assert [p.rtt_quantile_s for p in series.points] == per_point
         # The sweep after the per-point warm-up added no evaluations.
-        assert warm.stats.quantile_evaluations == len(loads)
-        assert warm.stats.quantile_cache_hits == len(loads)
+        assert warm.fleet.stats.evaluations == len(loads)
+        assert warm.fleet.stats.cache_hits == len(loads)
 
         # A cold batch sweep also lands on the same floats.
         cold = Engine(TICK40)
         cold_series = cold.sweep(loads)
         assert [p.rtt_quantile_s for p in cold_series.points] == per_point
-        assert cold.stats.quantile_evaluations == len(loads)
+        assert cold.fleet.stats.evaluations == len(loads)
 
     def test_rtt_quantiles_deduplicates_within_the_batch(self):
         engine = Engine(TICK40)
         values = engine.rtt_quantiles([0.3, 0.3, 0.5])
         assert values[0] == values[1]
-        assert engine.stats.quantile_evaluations == 2
-        assert engine.stats.quantile_cache_hits == 1
+        assert engine.fleet.stats.evaluations == 2
 
 
 class TestDimension:
@@ -172,20 +217,25 @@ class TestDimension:
 
     def test_optimum_read_from_cache_not_rebuilt(self):
         # The seed evaluated _rtt_at_load(best_load) a second time after
-        # brentq had already evaluated it; the engine must not.
+        # brentq had already evaluated it; the search reads it from the
+        # fleet cache instead.
         engine = Engine(TICK40)
+        reset_model_build_count()
         result = engine.dimension(0.050)
-        assert engine.stats.quantile_cache_hits >= 1
-        assert engine.stats.quantile_evaluations == engine.stats.model_builds
+        stats = engine.fleet.stats
+        assert stats.cache_hits >= 1
+        assert model_build_count() == stats.evaluations == stats.cache_misses
         assert result.rtt_at_max_load_s <= 0.050 * 1.02
 
-    def test_dimension_then_sweep_share_models(self):
+    def test_redimensioning_reuses_cached_probes(self):
         engine = Engine(TICK40)
         engine.dimension(0.050)
-        builds_after_dimension = engine.stats.model_builds
-        # Re-dimensioning with a different bound reuses bisection points.
+        evaluations_after_dimension = engine.fleet.stats.evaluations
+        # Re-dimensioning with a different bound reuses the floor and
+        # ceiling probes from the fleet cache.
         engine.dimension(0.060)
-        assert engine.stats.model_builds < 2 * builds_after_dimension
+        assert engine.fleet.stats.cache_hits >= 2
+        assert engine.fleet.stats.evaluations < 2 * evaluations_after_dimension
 
     def test_rejects_non_positive_bound(self):
         with pytest.raises(ParameterError):
@@ -242,66 +292,3 @@ class TestSimulation:
         engine = Engine(TICK40.derive(server_processing_s=0.010))
         with pytest.raises(ParameterError, match="server_processing_s"):
             engine.make_simulation(num_clients=8)
-
-
-class TestModelCacheBudget:
-    def test_unbounded_by_default(self):
-        engine = Engine(TICK40)
-        for load in (0.2, 0.3, 0.4, 0.5, 0.6):
-            engine.model_at_load(load)
-        assert len(engine._models) == 5
-        assert engine.stats.model_evictions == 0
-
-    def test_rejects_non_positive_budget(self):
-        with pytest.raises(ParameterError):
-            Engine(TICK40, max_models=0)
-
-    def test_lru_eviction_counts_and_budget_holds(self):
-        engine = Engine(TICK40, max_models=2)
-        engine.model_at_load(0.2)
-        engine.model_at_load(0.3)
-        engine.model_at_load(0.4)  # evicts the 0.2 model
-        assert len(engine._models) == 2
-        assert engine.stats.model_evictions == 1
-        assert engine.stats.as_dict()["model_evictions"] == 1
-
-    def test_hits_refresh_lru_order(self):
-        engine = Engine(TICK40, max_models=2)
-        engine.model_at_load(0.2)
-        engine.model_at_load(0.3)
-        engine.model_at_load(0.2)  # touch: 0.3 is now least recent
-        engine.model_at_load(0.4)  # evicts 0.3, not 0.2
-        kept = set(engine._models)
-        assert Engine._gamers_key(TICK40.gamers_at_load(0.2)) in kept
-        assert Engine._gamers_key(TICK40.gamers_at_load(0.3)) not in kept
-
-    def test_evicted_model_recomputes_bit_identical(self):
-        unbounded = Engine(TICK40)
-        reference = unbounded.rtt_quantile(0.2)
-        engine = Engine(TICK40, max_models=1)
-        first = engine.rtt_quantile(0.2)
-        engine.model_at_load(0.5)  # evicts the 0.2 model
-        engine._quantiles.clear()  # force re-evaluation through a rebuilt model
-        again = engine.rtt_quantile(0.2)
-        assert first == reference
-        assert again == reference
-        assert engine.stats.model_evictions >= 1
-
-    def test_quantile_cache_survives_model_eviction(self):
-        engine = Engine(TICK40, max_models=1)
-        value = engine.rtt_quantile(0.2)
-        engine.model_at_load(0.5)  # evicts the model behind the answer
-        assert engine.rtt_quantile(0.2) == value
-        assert engine.stats.quantile_cache_hits >= 1
-
-    def test_sweep_respects_budget(self):
-        engine = Engine(TICK40, max_models=3)
-        series = engine.sweep([0.2, 0.3, 0.4, 0.5, 0.6])
-        assert len(series.points) == 5
-        assert len(engine._models) == 3
-        assert engine.stats.model_evictions == 2
-        # The answers match the unbounded engine bit for bit.
-        unbounded = Engine(TICK40).sweep([0.2, 0.3, 0.4, 0.5, 0.6])
-        assert [p.rtt_quantile_s for p in series.points] == [
-            p.rtt_quantile_s for p in unbounded.points
-        ]

@@ -2,8 +2,7 @@
 
 The contract under test: an :class:`EvalPlan` is picklable and
 self-contained (no live ``Engine``/``PingTimeModel`` references), and
-executing it — in-process, on a rebuilt model set, or in a worker
-process — produces floats bit-identical to per-model
+executing it — in-process or in a worker process — produces floats bit-identical to per-model
 ``rtt_quantile`` calls.
 """
 
@@ -17,12 +16,10 @@ from repro.core.rtt import (
     DEFAULT_PLAN_CHUNK,
     EvalPlan,
     PingTimeModel,
-    batch_rtt_quantiles,
     compile_eval_plans,
     execute_plan,
     model_params,
 )
-from repro.engine import Engine
 from repro.errors import ParameterError
 from repro.executors import Executor, ParallelExecutor, SerialExecutor
 from repro.fleet import AsyncFleet, Fleet, Request
@@ -95,19 +92,6 @@ class TestExecutePlan:
             assert result.evaluations == len(plan)
             assert result.stacked_mgf_calls > 0
             assert result.worker_pid == os.getpid()
-
-    def test_live_models_shortcut_is_bit_identical(self):
-        models = _models()
-        [plan] = compile_eval_plans(models, PROBABILITY, chunk_size=len(models))
-        rebuilt = execute_plan(plan)
-        live = execute_plan(plan, models=[models[i] for i in plan.indices])
-        assert rebuilt.values == live.values
-
-    def test_live_models_length_is_checked(self):
-        models = _models()
-        [plan] = compile_eval_plans(models, PROBABILITY, chunk_size=len(models))
-        with pytest.raises(ParameterError):
-            execute_plan(plan, models=models[:1])
 
     def test_fallback_methods_run_per_model(self):
         models = _models(loads=(0.5,))
@@ -352,29 +336,17 @@ class TestParallelExecutorTimeout:
         assert [r.values for r in second] == [r.values for r in first]
 
 
-class TestBatchRttQuantilesExecutor:
-    def test_executor_parameter_is_bit_identical(self):
+class TestPlanQuantilesExecutor:
+    def test_executor_parameter_is_bit_identical(self, plan_quantiles):
         models = _models()
-        reference = batch_rtt_quantiles(models, PROBABILITY)
+        reference = plan_quantiles(models, PROBABILITY)
         with SerialExecutor() as serial:
-            assert batch_rtt_quantiles(models, PROBABILITY, executor=serial) == reference
+            assert plan_quantiles(models, PROBABILITY, executor=serial) == reference
         with ParallelExecutor(workers=2) as parallel:
-            assert (
-                batch_rtt_quantiles(models, PROBABILITY, executor=parallel) == reference
-            )
+            assert plan_quantiles(models, PROBABILITY, executor=parallel) == reference
 
-    def test_empty_batch(self):
-        assert batch_rtt_quantiles([], PROBABILITY) == []
-
-
-class TestEngineExecutor:
-    def test_engine_sweep_through_executor_is_bit_identical(self):
-        loads = [0.2, 0.4, 0.6]
-        reference = Engine(get_scenario("paper-dsl")).rtt_quantiles(loads)
-        with ParallelExecutor(workers=2) as executor:
-            engine = Engine(get_scenario("paper-dsl"), executor=executor)
-            assert engine.rtt_quantiles(loads) == reference
-            assert engine.stats.stacked_mgf_calls > 0
+    def test_empty_batch(self, plan_quantiles):
+        assert plan_quantiles([], PROBABILITY) == []
 
 
 class TestAsyncFleet:

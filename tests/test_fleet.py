@@ -1,7 +1,7 @@
 """Tests for the Fleet request-serving layer.
 
-The serving contract: answers are the very same floats per-point
-:class:`Engine` queries produce (the stacked batch is an optimisation,
+The serving contract: answers are the very same floats the scalar
+``model.rtt_quantile`` produces (the stacked batch is an optimisation,
 not an approximation), the shared cache honors its entry budget with
 LRU eviction, and evicted-then-recomputed answers are bit-identical to
 warm-cache answers — including across save/warm_start round trips.
@@ -11,9 +11,8 @@ import json
 
 import pytest
 
-from repro.engine import Engine
 from repro.errors import ParameterError, StabilityError
-from repro.fleet import Answer, Fleet, FleetStats, Request
+from repro.fleet import Answer, Fleet, FleetStats, Request, gamers_key
 from repro.scenarios import PAPER_BASELINE, Scenario, get_scenario
 
 TICK40 = Scenario(tick_interval_s=0.040)
@@ -78,8 +77,6 @@ class TestConstruction:
         with pytest.raises(ParameterError):
             Fleet(max_cache_entries=0)
         with pytest.raises(ParameterError):
-            Fleet(max_engines=0)
-        with pytest.raises(ParameterError):
             Fleet(probability=1.5)
         with pytest.raises(ParameterError):
             Fleet(method="magic")
@@ -92,13 +89,13 @@ class TestConstruction:
 
 
 class TestServing:
-    def test_answers_match_per_point_engine_bitwise(self):
+    def test_answers_match_the_scalar_path_bitwise(self):
         fleet = Fleet()
         requests = _mixed_requests()
         answers = fleet.serve(requests)
         for request, answer in zip(requests, answers):
-            engine = Engine(get_scenario(request.scenario))
-            assert answer.rtt_quantile_s == engine.rtt_quantile(request.downlink_load)
+            model = get_scenario(request.scenario).model_at_load(request.downlink_load)
+            assert answer.rtt_quantile_s == model.rtt_quantile(0.99999)
             assert answer.rtt_quantile_ms == 1e3 * answer.rtt_quantile_s
             assert not answer.cached
 
@@ -106,7 +103,8 @@ class TestServing:
         fleet = Fleet()
         [answer] = fleet.serve([{"scenario": "ftth", "load": 0.4}])
         assert isinstance(answer, Answer)
-        assert answer.rtt_quantile_s == Engine(get_scenario("ftth")).rtt_quantile(0.4)
+        model = get_scenario("ftth").model_at_load(0.4)
+        assert answer.rtt_quantile_s == model.rtt_quantile(0.99999)
 
     def test_gamer_requests_share_entries_with_load_requests(self):
         fleet = Fleet()
@@ -136,9 +134,9 @@ class TestServing:
         assert answers[0].probability == 0.99999
         assert answers[1].probability == 0.99
         assert answers[2].method == "chernoff"
-        engine = Engine(PAPER_BASELINE)
-        assert answers[1].rtt_quantile_s == engine.rtt_quantile(0.4, probability=0.99)
-        assert answers[2].rtt_quantile_s == engine.rtt_quantile(0.4, method="chernoff")
+        model = PAPER_BASELINE.model_at_load(0.4)
+        assert answers[1].rtt_quantile_s == model.rtt_quantile(0.99)
+        assert answers[2].rtt_quantile_s == model.rtt_quantile(0.99999, method="chernoff")
         # Three distinct cache entries for one operating point.
         assert fleet.stats.evaluations == 3
 
@@ -161,10 +159,10 @@ class TestServing:
                 Request(PAPER_BASELINE.to_dict(), downlink_load=0.4),
             ]
         )
-        # One engine, one evaluation: all three specs share the key
+        # One entry, one evaluation: all three specs share the key
         # (in-batch duplicates count as probe-time misses but are
         # deduplicated before evaluation).
-        assert fleet.stats.engines_built == 1
+        assert fleet.cache_size() == 1
         assert fleet.stats.evaluations == 1
         assert fleet.stats.cache_misses == 3
 
@@ -184,7 +182,7 @@ class TestBoundedCache:
         # The 0.2 entry (least recently used) was evicted.
         remaining_gamers = {key[1] for key in fleet.cached_keys()}
         scenario = get_scenario("paper-dsl")
-        assert Engine._gamers_key(scenario.gamers_at_load(0.2)) not in remaining_gamers
+        assert gamers_key(scenario.gamers_at_load(0.2)) not in remaining_gamers
 
     def test_hit_refreshes_recency(self):
         fleet = Fleet(max_cache_entries=2)
@@ -210,14 +208,14 @@ class TestBoundedCache:
         assert not recomputed.cached
         assert recomputed.rtt_quantile_s == warm.rtt_quantile_s
 
-    def test_engine_eviction_does_not_change_answers(self):
-        fleet = Fleet(max_engines=1, max_cache_entries=1)
+    def test_scenario_eviction_does_not_change_answers(self):
+        fleet = Fleet(max_cache_entries=1)
         first = fleet.serve([Request("paper-dsl", downlink_load=0.4)])[0]
-        fleet.serve([Request("ftth", downlink_load=0.4)])  # evicts the engine
-        assert fleet.stats.engines_evicted == 1
+        fleet.serve([Request("ftth", downlink_load=0.4)])  # evicts paper-dsl
+        assert set(fleet._scenarios) == {get_scenario("ftth").cache_key()}
         again = fleet.serve([Request("paper-dsl", downlink_load=0.4)])[0]
+        assert not again.cached
         assert again.rtt_quantile_s == first.rtt_quantile_s
-        assert fleet.stats.engines_built == 3  # paper-dsl engine rebuilt
 
     def test_stats_counters_are_consistent(self):
         fleet = Fleet()
@@ -242,18 +240,15 @@ class TestBoundedCache:
         assert not answer.cached
 
     def test_unreferenced_scenarios_are_pruned(self):
-        # Scenarios whose engine AND answers were both evicted must not
-        # accumulate (a many-scenario stream would leak otherwise).
-        fleet = Fleet(max_cache_entries=1, max_engines=1)
+        # Scenarios whose answers were all evicted must not accumulate
+        # (a many-scenario stream would leak otherwise).
+        fleet = Fleet(max_cache_entries=1)
         for tick_ms in (40.0, 45.0, 50.0, 55.0):
             scenario = PAPER_BASELINE.derive(tick_interval_s=tick_ms / 1e3)
             fleet.serve([Request(scenario, downlink_load=0.4)])
         referenced = {key[0] for key in fleet.cached_keys()}
-        referenced.update(
-            engine.scenario.cache_key() for engine in fleet._engines.values()
-        )
         assert set(fleet._scenarios) == referenced
-        assert len(fleet._scenarios) <= 2
+        assert len(fleet._scenarios) == 1
 
 
 class TestPersistence:
@@ -284,7 +279,7 @@ class TestPersistence:
         # The budget keeps the most recently used entries (0.3, 0.4).
         scenario = get_scenario("paper-dsl")
         kept = {key[1] for key in warm.cached_keys()}
-        assert Engine._gamers_key(scenario.gamers_at_load(0.2)) not in kept
+        assert gamers_key(scenario.gamers_at_load(0.2)) not in kept
         assert len(kept) == 2
 
     def test_warm_start_rejects_foreign_files(self, tmp_path):
@@ -561,7 +556,7 @@ class TestAtomicSaveCache:
 
 
 class TestWarmStartCanonicalization:
-    """warm_start keys must round through Engine._gamers_key (ISSUE 5)."""
+    """warm_start keys must round through the serving gamers key."""
 
     def test_perturbed_gamers_values_still_hit(self, tmp_path):
         path = tmp_path / "cache.json"
@@ -594,18 +589,17 @@ class TestWarmStartCanonicalization:
         warm = Fleet()
         warm.warm_start(path)
         for key in warm.cached_keys():
-            assert key[1] == Engine._gamers_key(key[1])
+            assert key[1] == gamers_key(key[1])
 
 
 class TestBatchValidationAtomicity:
-    """A poisoned batch must not mutate stats, cache order or engines."""
+    """A poisoned batch must not mutate stats, cache order or scenarios."""
 
     def _snapshot(self, fleet):
         return (
             fleet.stats.as_dict(),
             fleet.cached_keys(),
-            list(fleet._engines),
-            set(fleet._scenarios),
+            list(fleet._scenarios),
         )
 
     def test_unstable_gamer_request_leaves_state_untouched(self):
@@ -721,9 +715,8 @@ class TestPlanCosts:
 
     def test_plan_signature_shapes(self):
         from repro.core.rtt import compile_eval_plans, plan_signature
-        from repro.engine import Engine
 
-        model = Engine(get_scenario("paper-dsl")).model_at_load(0.4)
+        model = get_scenario("paper-dsl").model_at_load(0.4)
         plans = compile_eval_plans([model], 0.99999, "inversion")
         assert all(
             plan_signature(plan).startswith("inversion/K") for plan in plans

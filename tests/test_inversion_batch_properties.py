@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.inversion import quantile_from_mgf, tail_from_mgf, tails_from_mgf
-from repro.core.rtt import QUANTILE_METHODS, batch_rtt_quantiles
+from repro.core.rtt import QUANTILE_METHODS
 from repro.engine import Engine
 from repro.scenarios import get_scenario
 from repro.testing import scalar_only
@@ -74,16 +74,16 @@ class TestTailsAcrossPresets:
 class TestEngineBatchAcrossMethods:
     def test_engine_batch_matches_per_point(self, preset, method):
         scenario = get_scenario(preset)
-        batch_engine = Engine(scenario, method=method)
-        batch = batch_engine.rtt_quantiles(LOADS)
-
-        per_point_engine = Engine(scenario, method=method)
-        per_point = [per_point_engine.rtt_quantile(load) for load in LOADS]
+        batch = Engine(scenario, method=method).rtt_quantiles(LOADS)
+        per_point = [
+            scenario.model_at_load(load).rtt_quantile(0.99999, method=method)
+            for load in LOADS
+        ]
         assert batch == per_point
 
-    def test_batch_helper_matches_model_api(self, preset, method):
+    def test_plan_layer_matches_model_api(self, plan_quantiles, preset, method):
         scenario = get_scenario(preset)
         models = [scenario.model_at_load(load) for load in LOADS]
-        batch = batch_rtt_quantiles(models, 0.99999, method=method)
+        batch = plan_quantiles(models, 0.99999, method=method)
         single = [m.rtt_quantile(0.99999, method=method) for m in models]
         assert batch == single

@@ -20,7 +20,6 @@ from repro.core.inversion import (
 from repro.core.rtt import (
     QueueingMgfStack,
     batch_queueing_tails,
-    batch_rtt_quantiles,
     reset_stacked_eval_count,
     stacked_eval_count,
 )
@@ -254,26 +253,26 @@ class TestLockstepQuantiles:
             )
 
 
-class TestBatchRttQuantiles:
-    def test_heterogeneous_batch_is_bit_identical_to_per_model(self):
+class TestPlanQuantiles:
+    def test_heterogeneous_batch_is_bit_identical_to_per_model(self, plan_quantiles):
         models = _mixed_models()
-        batch = batch_rtt_quantiles(models, PROBABILITY)
+        batch = plan_quantiles(models, PROBABILITY)
         reference = [m.rtt_quantile(PROBABILITY) for m in models]
         assert batch == reference
 
-    def test_mixed_erlang_orders_group_and_agree(self):
+    def test_mixed_erlang_orders_group_and_agree(self, plan_quantiles):
         models = [
             get_scenario("paper-dsl").derive(erlang_order=order).model_at_load(load)
             for order in (2, 9, 20)
             for load in (0.4, 0.7)
         ]
-        batch = batch_rtt_quantiles(models, PROBABILITY)
+        batch = plan_quantiles(models, PROBABILITY)
         reference = [m.rtt_quantile(PROBABILITY) for m in models]
         assert batch == reference
 
-    def test_batch_spends_one_stacked_group_per_signature(self):
+    def test_batch_spends_one_stacked_group_per_signature(self, plan_quantiles):
         models = _mixed_models()
         reset_stacked_eval_count()
-        batch_rtt_quantiles(models, PROBABILITY)
+        plan_quantiles(models, PROBABILITY)
         calls = stacked_eval_count()
         assert 0 < calls < 3 * len(models)

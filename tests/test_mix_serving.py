@@ -186,7 +186,7 @@ class TestMixPlans:
 
 
 class TestMixFleetServing:
-    def test_fleet_answers_match_engine_bitwise(self):
+    def test_fleet_answers_match_the_scalar_path_bitwise(self):
         fleet = Fleet()
         answers = fleet.serve(
             [
@@ -194,10 +194,12 @@ class TestMixFleetServing:
                 Request(MIX.tagged_variant(1), downlink_load=0.4),
             ]
         )
-        assert answers[0].rtt_quantile_s == Engine(MIX).rtt_quantile(0.4)
-        assert answers[1].rtt_quantile_s == Engine(
-            MIX.tagged_variant(1)
-        ).rtt_quantile(0.4)
+        assert answers[0].rtt_quantile_s == MIX.model_at_load(0.4).rtt_quantile(
+            PROBABILITY
+        )
+        assert answers[1].rtt_quantile_s == MIX.tagged_variant(1).model_at_load(
+            0.4
+        ).rtt_quantile(PROBABILITY)
         assert answers[0].scenario_key == MIX.cache_key()
 
     def test_mixed_batch_with_single_server_presets(self):
@@ -223,7 +225,7 @@ class TestMixFleetServing:
     def test_inline_mix_mapping_requests(self):
         fleet = Fleet()
         [answer] = fleet.serve([{"scenario": MIX.to_dict(), "load": 0.4}])
-        assert answer.rtt_quantile_s == Engine(MIX).rtt_quantile(0.4)
+        assert answer.rtt_quantile_s == MIX.model_at_load(0.4).rtt_quantile(PROBABILITY)
 
     def test_cache_persistence_round_trips_mix_entries(self, tmp_path):
         path = tmp_path / "cache.json"
@@ -267,8 +269,8 @@ class TestMixEngine:
         series = engine.sweep(loads=[0.3, 0.5])
         assert series.label == MIX.describe()
         assert [p.rtt_quantile_s for p in series.points] == [
-            engine.rtt_quantile(0.3),
-            engine.rtt_quantile(0.5),
+            MIX.model_at_load(0.3).rtt_quantile(PROBABILITY),
+            MIX.model_at_load(0.5).rtt_quantile(PROBABILITY),
         ]
 
     def test_dimension_finds_a_monotone_optimum(self):

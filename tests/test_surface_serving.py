@@ -391,7 +391,7 @@ class TestEngineSurfaces:
         series = engine.sweep()
         assert series.surface is not None
         mid = series.interpolate_rtt_ms(0.45) / 1e3
-        exact = engine.rtt_quantiles([0.45])[0]
+        exact = get_scenario("paper-dsl").model_at_load(0.45).rtt_quantile(0.99999)
         surface = next(iter(index))
         assert abs(mid - exact) / exact <= surface.certified_rel_bound
 
