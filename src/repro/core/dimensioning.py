@@ -225,19 +225,16 @@ def admission_search(
         proposed = float(load)
         if not 0.0 < proposed < 1.0:
             raise ParameterError("load must lie in (0, 1)")
-    surface_load = (
-        None
-        if surface is None
-        else surface.invert_load(rtt_budget_s, probability, load_cap=ceiling)
-    )
-    if surface_load is None:
+    best_load = None
+    if surface is not None:
+        best_load = surface.invert_load(rtt_budget_s, probability, load_cap=ceiling)
+    if best_load is None:
         source = "exact"
         best_load, rtt_at_best = yield from capacity_search(
             scenario, rtt_budget_s, ceiling, load_resolution
         )
     else:
-        source = "surface"
-        best_load, rtt_at_best = surface_load, surface.lookup(surface_load, probability)
+        source, rtt_at_best = "surface", surface.lookup(best_load, probability)
     if best_load is None:
         # Over budget already at the minimum load: nobody is admitted,
         # and the floor RTT documents by how much.

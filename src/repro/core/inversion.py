@@ -763,7 +763,7 @@ def _quantile_search(probability: float, scale_hint: float, tolerance: float) ->
 
 def _run_searches(
     mgfs: Sequence[Callable[[complex], complex]],
-    probability: float,
+    probabilities: Sequence[float],
     hints: Sequence[float],
     atoms: Sequence[Optional[float]],
     tolerance: float,
@@ -797,9 +797,17 @@ def _run_searches(
             for j, (index, x) in enumerate(batch)
         ]
 
-    searches = [_quantile_search(probability, hint, tolerance) for hint in hints]
+    searches = [
+        _quantile_search(probability, hint, tolerance)
+        for probability, hint in zip(probabilities, hints)
+    ]
     rounds = lockstep(searches, lambda index, x: (index, x))
     return [float(result) for result in drive(rounds, answer)]
+
+
+def _per_model(value: Union[float, Sequence[float]], count: int) -> list:
+    """A value shared by ``count`` models, or one value per model."""
+    return [value] * count if np.isscalar(value) else list(value)
 
 
 def quantile_from_mgf(
@@ -834,12 +842,12 @@ def quantile_from_mgf(
         Optional known probability mass at zero, forwarded to
         :func:`tail_from_mgf`.
     """
-    return _run_searches([mgf], probability, [float(scale_hint)], [atom_at_zero], tolerance, None)[0]
+    return _run_searches([mgf], [probability], [float(scale_hint)], [atom_at_zero], tolerance, None)[0]
 
 
 def quantiles_from_mgfs(
     mgfs: Sequence[Callable[[complex], complex]],
-    probability: float,
+    probability: Union[float, Sequence[float]],
     scale_hints: Union[float, Sequence[float]],
     atoms_at_zero: Optional[Sequence[Optional[float]]] = None,
     tolerance: float = 1e-10,
@@ -849,8 +857,8 @@ def quantiles_from_mgfs(
     """Quantiles of many transforms, searched in lockstep.
 
     Runs one :func:`quantile_from_mgf` search per transform (a scalar
-    ``scale_hints`` is shared by all) and advances them together: with
-    a joint evaluator ``stack_eval`` (e.g.
+    ``probability`` or ``scale_hints`` is shared by all) and advances
+    them together: with a joint evaluator ``stack_eval`` (e.g.
     :class:`repro.core.rtt.QueueingMgfStack`), every round of
     outstanding tail points — one per still-active search — costs a
     single array evaluation instead of one array call per transform.
@@ -859,16 +867,11 @@ def quantiles_from_mgfs(
     calls: the lockstep is an optimisation, not an approximation.
     """
     mgfs = list(mgfs)
-    if np.isscalar(scale_hints):
-        hints = [float(scale_hints)] * len(mgfs)
-    else:
-        hints = [float(h) for h in scale_hints]
-    if atoms_at_zero is None:
-        atoms: Sequence[Optional[float]] = [None] * len(mgfs)
-    else:
-        atoms = list(atoms_at_zero)
-    if len(hints) != len(mgfs) or len(atoms) != len(mgfs):
+    probabilities = [float(p) for p in _per_model(probability, len(mgfs))]
+    hints = [float(h) for h in _per_model(scale_hints, len(mgfs))]
+    atoms = [None] * len(mgfs) if atoms_at_zero is None else list(atoms_at_zero)
+    if not len(probabilities) == len(hints) == len(atoms) == len(mgfs):
         raise ParameterError(
-            "scale_hints and atoms_at_zero must match the number of transforms"
+            "probability, scale_hints and atoms_at_zero must match the number of transforms"
         )
-    return _run_searches(mgfs, probability, hints, atoms, tolerance, stack_eval)
+    return _run_searches(mgfs, probabilities, hints, atoms, tolerance, stack_eval)

@@ -46,6 +46,7 @@ from .downstream import (
 )
 from .inversion import (
     _is_per_transform_grids,
+    _per_model,
     quantile_from_mgf,
     quantiles_from_mgfs,
     tail_from_mgf,
@@ -1024,10 +1025,12 @@ class EvalPlan:
     stacked lockstep search for the whole plan.
 
     ``indices`` maps each model back to its position in the batch the
-    plan was compiled from.
+    plan was compiled from, and ``probabilities`` holds each one's
+    quantile level: one operating point asked at several levels is
+    several entries of the plan, built once (:meth:`build_models`).
     """
 
-    probability: float
+    probabilities: Tuple[float, ...]
     method: str
     indices: Tuple[int, ...]
     model_params: Tuple[Dict[str, float], ...]
@@ -1040,12 +1043,18 @@ class EvalPlan:
 
         Parameter sets carrying a ``flows`` key rebuild as
         :class:`MixPingTimeModel`; everything else as
-        :class:`PingTimeModel`.
+        :class:`PingTimeModel`.  Equal parameter sets share one model,
+        so its component transforms are computed once per plan.
         """
-        return [
-            MixPingTimeModel(**params) if "flows" in params else PingTimeModel(**params)
-            for params in self.model_params
-        ]
+        built: Dict[tuple, ComposedRttModel] = {}
+        models = []
+        for params in self.model_params:
+            key = tuple(sorted(params.items()))
+            if key not in built:
+                cls = MixPingTimeModel if "flows" in params else PingTimeModel
+                built[key] = cls(**params)
+            models.append(built[key])
+        return models
 
 
 @dataclass(frozen=True)
@@ -1245,7 +1254,7 @@ class CostModel:
 
 def compile_eval_plans(
     models: Sequence[Union["PingTimeModel", ModelParams]],
-    probability: float = DEFAULT_QUANTILE,
+    probability: Union[float, Sequence[float]] = DEFAULT_QUANTILE,
     method: str = "inversion",
     chunk_size: Optional[int] = None,
     cost_model: Optional[CostModel] = None,
@@ -1256,7 +1265,8 @@ def compile_eval_plans(
     parameter mappings — compilation never builds a model or a
     transform, so the planning phase stays cheap and the expensive work
     (root finding, lockstep searches) lands in whatever process executes
-    the plan.  For the ``"inversion"`` method the batch is partitioned
+    the plan.  ``probability`` is one level for the whole batch or one
+    per model.  For the ``"inversion"`` method the batch is partitioned
     into stack-compatible signature groups (first-appearance order) and
     each group is cut into chunks; other methods are evaluated per
     model, so they are chunked in batch order.
@@ -1272,8 +1282,9 @@ def compile_eval_plans(
     plans in any order, on any executor, yields floats identical to
     ``model.rtt_quantile(probability, method=...)`` per model.
     """
-    if not 0.0 < probability < 1.0:
-        raise ParameterError("probability must lie in (0, 1)")
+    probabilities = [float(p) for p in _per_model(probability, len(models))]
+    if len(probabilities) != len(models) or not all(0.0 < p < 1.0 for p in probabilities):
+        raise ParameterError("probability must lie in (0, 1), one level or one per model")
     if method not in QUANTILE_METHODS:
         raise ParameterError(
             f"method must be one of {QUANTILE_METHODS}; got {method!r}"
@@ -1303,7 +1314,7 @@ def compile_eval_plans(
             chunk = indices[start : start + size]
             plans.append(
                 EvalPlan(
-                    probability=float(probability),
+                    probabilities=tuple(probabilities[i] for i in chunk),
                     method=method,
                     indices=tuple(chunk),
                     model_params=tuple(params_list[i] for i in chunk),
@@ -1332,7 +1343,7 @@ def execute_plan(plan: EvalPlan) -> PlanResult:
             stack = QueueingMgfStack(group)
             queueing = quantiles_from_mgfs(
                 [m.queueing_mgf for m in group],
-                plan.probability,
+                [plan.probabilities[i] for i in indices],
                 scale_hints=stack.scale_hints(),
                 atoms_at_zero=stack.atoms_at_zero(),
                 stack_eval=stack,
@@ -1341,7 +1352,10 @@ def execute_plan(plan: EvalPlan) -> PlanResult:
                 values[index] = model.deterministic_delay_s + value
             stacked_calls += stack.array_calls
     else:
-        values = [m.rtt_quantile(plan.probability, method=plan.method) for m in models]
+        values = [
+            m.rtt_quantile(p, method=plan.method)
+            for m, p in zip(models, plan.probabilities)
+        ]
     return PlanResult(
         indices=plan.indices,
         values=tuple(float(v) for v in values),  # type: ignore[arg-type]

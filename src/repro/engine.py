@@ -13,10 +13,9 @@ passed), so
 * cache misses run through the fleet's plan → execute → assemble path,
   stacked across the whole batch and counted in its
   :class:`~repro.fleet.FleetStats`;
-* ``engine.dimension`` / ``engine.admit`` run the shared load search of
+* ``engine.dimension`` / ``engine.admit`` run the load search of
   :mod:`repro.core.dimensioning`, whose Brent probes are fleet requests
-  like any other — or, when the fleet holds a certified surface that
-  brackets the budget, invert that surface in O(1) instead;
+  (or invert a certified surface of the fleet in O(1));
 * ``engine.simulate(...)`` runs the discrete-event validation of the
   same scenario without re-threading nine keyword arguments.
 
@@ -27,6 +26,8 @@ The floats are exact: the plan path reproduces the scalar
 from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from .core.dimensioning import AdmissionResult, DimensioningResult, admission_search
 from .core.inversion import drive
@@ -99,21 +100,25 @@ class Engine:
         self, probability: Optional[float], method: Optional[str]
     ) -> Tuple[float, str]:
         """Apply the engine defaults (the fleet requests validate them)."""
-        probability = self.probability if probability is None else float(probability)
+        probability = self.probability if probability is None else probability
         return probability, self.method if method is None else method
 
-    def _serve(self, downlink_loads: Sequence[float], probability: float, method: str):
+    def _serve(self, downlink_loads: Sequence[float], probability, method: str):
         """Serve exact quantile requests for a load grid through the fleet."""
+        loads = list(downlink_loads)
+        levels = [probability] * len(loads) if np.isscalar(probability) else list(probability)
+        if len(levels) != len(loads):
+            raise ParameterError("probability must be one level or one per load")
         return self.fleet.serve(
             [
                 Request(
                     self.scenario,
                     downlink_load=float(load),
-                    probability=probability,
+                    probability=level,
                     method=method,
                     exact=True,
                 )
-                for load in downlink_loads
+                for load, level in zip(loads, levels)
             ]
         )
 
@@ -129,11 +134,12 @@ class Engine:
     def rtt_quantiles(
         self,
         downlink_loads: Sequence[float],
-        probability: Optional[float] = None,
+        probability: Union[float, Sequence[float], None] = None,
         method: Optional[str] = None,
     ) -> list:
         """Batch evaluation of :meth:`rtt_quantile` over a load grid.
 
+        ``probability`` is one level for the whole grid or one per load.
         One fleet batch: cached and duplicate operating points are
         answered from the fleet's cache, the rest are evaluated together
         on the stacked plan path (one joint array evaluation per search
@@ -148,26 +154,15 @@ class Engine:
     # Certified surfaces (see repro.surface)
     # ------------------------------------------------------------------
     def attach_surface(self, surface_or_index) -> int:
-        """Attach certified quantile surface(s) built for this scenario.
+        """Attach certified quantile surface(s) of this scenario to the fleet.
 
-        Accepts one :class:`~repro.surface.QuantileSurface` or a whole
-        :class:`~repro.surface.SurfaceIndex` (only the entries matching
-        this engine's scenario are kept) and attaches them to the
-        engine's fleet.  A single surface certified for a different
-        scenario raises :class:`~repro.errors.ParameterError`.  Returns
-        the number of surfaces attached.
-
-        Point quantile queries (:meth:`rtt_quantile`) remain exact — the
-        engine asks for exact floats.  An attached surface makes
-        :meth:`sweep` hand it to its series, so
-        :meth:`~repro.scenarios.sweep.SweepSeries.interpolate_rtt_ms` /
-        :meth:`~repro.scenarios.sweep.SweepSeries.max_load_for_rtt_ms`
-        carry a certified bound instead of uncertified linear
-        interpolation, and it routes :meth:`dimension` and
-        :meth:`admit` through the surface's O(1) inversion when the
-        budget's root is certified in-region (zero evaluation plans
-        executed; the exact path is the bit-identical fallback).  The
-        fleet's ``max_bound`` cap applies to all three.
+        Accepts one :class:`~repro.surface.QuantileSurface` (certified
+        for a different scenario: :class:`~repro.errors.ParameterError`)
+        or a :class:`~repro.surface.SurfaceIndex`, of which the entries
+        for this scenario are kept; returns the number attached.  Point
+        quantiles stay exact; :meth:`sweep` hands the surface to its
+        series (certified interpolation), and :meth:`dimension` /
+        :meth:`admit` invert it in O(1) when it brackets the bound.
         """
         from .surface import QuantileSurface, SurfaceIndex
 

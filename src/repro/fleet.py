@@ -16,8 +16,8 @@ every quantile is an ``exact=True`` request to a fleet:
 * :meth:`Fleet.serve` answers a whole batch in one pass: requests are
   keyed by :meth:`Scenario.cache_key` and the rounded gamer count,
   answered from a **shared bounded LRU cache** (or an attached certified
-  surface) when possible, and the misses of every (probability, method)
-  group are evaluated together through the stacked cross-model inverter
+  surface) when possible, and the misses of every method are
+  evaluated together through the stacked cross-model inverter
   (:class:`~repro.core.rtt.QueueingMgfStack`), so a heterogeneous
   multi-scenario batch costs one joint array evaluation per search
   round instead of one per model — with floats identical to the scalar
@@ -592,12 +592,20 @@ class Fleet:
     # ------------------------------------------------------------------
     @staticmethod
     def resolve_scenario(spec: ScenarioSpec):
-        """Resolve a request's scenario spec to a (mix) scenario."""
+        """Resolve a request's scenario spec to a (mix) scenario.
+
+        An unknown preset name is a bad *request*, not a lookup
+        programming error: it raises :class:`~repro.errors.ParameterError`
+        so serving layers can map it to a client error.
+        """
         if isinstance(spec, (Scenario, MixScenario)):
             return spec
         if isinstance(spec, Mapping):
             return Scenario.from_dict(spec)
-        return scenario_from_spec(spec)
+        try:
+            return scenario_from_spec(spec)
+        except KeyError as exc:
+            raise ParameterError(f"unknown scenario: {exc.args[0]}") from exc
 
     def engine(self, spec: ScenarioSpec):
         """An :class:`~repro.engine.Engine` view of a scenario on this fleet."""
@@ -625,13 +633,7 @@ class Fleet:
         """
         if not isinstance(request, Request):
             request = Request.from_dict(request)
-        try:
-            scenario = self.resolve_scenario(request.scenario)
-        except KeyError as exc:
-            # An unknown preset name is a bad *request*, not a lookup
-            # programming error — surface it as such so serving layers
-            # can map it to a client error.
-            raise ParameterError(f"unknown scenario: {exc.args[0]}") from exc
+        scenario = self.resolve_scenario(request.scenario)
         scenario_key = scenario.cache_key()
         if request.num_gamers is not None:
             num_gamers = float(request.num_gamers)
@@ -796,8 +798,8 @@ class Fleet:
 
         A thin driver over the three serving phases: the batch is
         **planned** (requests resolved, sharded by scenario key, probed
-        against the shared cache; the distinct misses of each
-        (probability, method) group compiled into picklable
+        against the shared cache; the distinct misses of each method
+        compiled into picklable
         :class:`~repro.core.rtt.EvalPlan` units, one chunk per
         factor-signature group), the plans are **executed** — in-process
         when ``executor`` is omitted, or on any
@@ -822,23 +824,18 @@ class Fleet:
             request if isinstance(request, Request) else Request.from_dict(request)
             for request in requests
         ]
-        admits = [r for r in materialized if r.kind == "admit"]
-        if not admits:
-            batch_plan = self._plan_batch(materialized)
-            results = self._execute_plans(batch_plan.eval_plans, executor)
-            return self._assemble(batch_plan, results)
         # Validate the admits before any serving state mutates, matching
         # _plan_batch's all-or-nothing contract for the rtt partition.
-        admit_resolved = [self._resolve_admit(request) for request in admits]
-        rtt_requests = [r for r in materialized if r.kind != "admit"]
-        batch_plan = self._plan_batch(rtt_requests)
+        admits = [self._resolve_admit(r) for r in materialized if r.kind == "admit"]
+        batch_plan = self._plan_batch([r for r in materialized if r.kind != "admit"])
         results = self._execute_plans(batch_plan.eval_plans, executor)
-        rtt_answers = self._assemble(batch_plan, results)
+        answers = self._assemble(batch_plan, results)
+        if not admits:
+            return answers
         admit_answers = drive(
-            self._admit_rounds(admit_resolved),
-            lambda probes: self._quantiles(probes, executor),
+            self._admit_rounds(admits), lambda probes: self._quantiles(probes, executor)
         )
-        return _merge(materialized, admit_answers, rtt_answers)
+        return _merge(materialized, admit_answers, answers)
 
     def _plan_batch(
         self, requests: Iterable[Union[Request, Mapping[str, Any]]]
@@ -905,20 +902,25 @@ class Fleet:
             if key not in misses:
                 misses[key] = (item.scenario, item.num_gamers)
 
-        # Compile the misses of each (probability, method) group into
-        # self-contained plans: parameters only, no live models.
-        groups: "OrderedDict[Tuple[float, str], List[_CacheKey]]" = OrderedDict()
+        # Compile the misses of each method into self-contained plans:
+        # parameters only, no live models.  Each miss carries its own
+        # quantile level, so a point asked at several levels can share
+        # one model build within a plan.
+        groups: "OrderedDict[str, List[_CacheKey]]" = OrderedDict()
         for key in misses:
-            groups.setdefault((key[2], key[3]), []).append(key)
+            groups.setdefault(key[3], []).append(key)
         eval_plans: List[EvalPlan] = []
         plan_keys: List[List[_CacheKey]] = []
-        for (probability, method), keys in groups.items():
+        for method, keys in groups.items():
             params = [
                 {**misses[key][0].model_kwargs(), "num_gamers": misses[key][1]}
                 for key in keys
             ]
             for plan in compile_eval_plans(
-                params, probability, method=method, cost_model=self.cost_model
+                params,
+                [key[2] for key in keys],
+                method=method,
+                cost_model=self.cost_model,
             ):
                 eval_plans.append(plan)
                 plan_keys.append([keys[i] for i in plan.indices])
@@ -1032,10 +1034,7 @@ class Fleet:
             raise ParameterError(
                 f'expected a kind="admit" request; got kind={request.kind!r}'
             )
-        try:
-            scenario = self.resolve_scenario(request.scenario)
-        except KeyError as exc:
-            raise ParameterError(f"unknown scenario: {exc.args[0]}") from exc
+        scenario = self.resolve_scenario(request.scenario)
         probability = (
             self.probability
             if request.probability is None
@@ -1361,10 +1360,8 @@ class AsyncFleet:
             request if isinstance(request, Request) else Request.from_dict(request)
             for request in requests
         ]
-        admits = [r for r in materialized if r.kind == "admit"]
-        admit_resolved = [fleet._resolve_admit(request) for request in admits]
-        rtt_requests = [r for r in materialized if r.kind != "admit"]
-        batch_plan = fleet._plan_batch(rtt_requests)
+        admits = [fleet._resolve_admit(r) for r in materialized if r.kind == "admit"]
+        batch_plan = fleet._plan_batch([r for r in materialized if r.kind != "admit"])
         loop = asyncio.get_running_loop()
         if not batch_plan.eval_plans:
             results: List[PlanResult] = []
@@ -1383,7 +1380,7 @@ class AsyncFleet:
             served = await self.serve_async(probes, executor=executor)
             return [answer.rtt_quantile_s for answer in served]
 
-        admit_answers = await drive_async(fleet._admit_rounds(admit_resolved), quantiles)
+        admit_answers = await drive_async(fleet._admit_rounds(admits), quantiles)
         return _merge(materialized, admit_answers, answers)
 
     async def request_async(

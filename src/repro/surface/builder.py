@@ -105,14 +105,18 @@ def _log_quantile_grid(
     u_values: np.ndarray,
     method: str,
 ) -> np.ndarray:
-    """``log(rtt_quantile_s)`` on the tensor grid, one stacked batch per u."""
-    columns = []
-    for u in u_values:
-        probability = 1.0 - 10.0 ** (-float(u))
-        columns.append(
-            engine.rtt_quantiles(loads.tolist(), probability=probability, method=method)
-        )
-    grid = np.asarray(columns, dtype=float).T  # shape (len(loads), len(u))
+    """``log(rtt_quantile_s)`` on the tensor grid, as one fleet batch.
+
+    The points run load-major, so each plan holds an operating point at
+    several quantile levels and builds its model once.
+    """
+    probabilities = [1.0 - 10.0 ** (-float(u)) for u in u_values]
+    quantiles = engine.rtt_quantiles(
+        np.repeat(loads, len(probabilities)).tolist(),
+        probabilities * len(loads),
+        method,
+    )
+    grid = np.asarray(quantiles, dtype=float).reshape(len(loads), len(probabilities))
     if not (np.isfinite(grid).all() and (grid > 0.0).all()):
         raise ConvergenceError(
             "exact quantile evaluation produced non-positive or non-finite "

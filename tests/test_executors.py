@@ -18,7 +18,9 @@ from repro.core.rtt import (
     PingTimeModel,
     compile_eval_plans,
     execute_plan,
+    model_build_count,
     model_params,
+    reset_model_build_count,
 )
 from repro.errors import ParameterError
 from repro.executors import Executor, ParallelExecutor, SerialExecutor
@@ -38,6 +40,17 @@ class TestCompileEvalPlans:
         plans = compile_eval_plans(models, PROBABILITY)
         covered = sorted(i for plan in plans for i in plan.indices)
         assert covered == list(range(len(models)))
+
+    def test_levels_are_one_per_model_or_shared(self):
+        models = _models()
+        levels = [0.99, 0.999, 0.9999, 0.99999]
+        plans = compile_eval_plans(models, levels)
+        for plan in plans:
+            assert plan.probabilities == tuple(levels[i] for i in plan.indices)
+        with pytest.raises(ParameterError):
+            compile_eval_plans(models, levels[:2])
+        with pytest.raises(ParameterError):
+            compile_eval_plans(models, [0.99, 1.5, 0.9, 0.9])
 
     def test_groups_by_erlang_order(self):
         models = [
@@ -81,6 +94,16 @@ class TestCompileEvalPlans:
 
 
 class TestExecutePlan:
+    @pytest.mark.parametrize("method", ["inversion", "chernoff"])
+    def test_one_point_at_several_levels_builds_one_model(self, method):
+        model = get_scenario("paper-dsl").model_at_load(0.4)
+        levels = (0.99, 0.999, 0.99999)
+        [plan] = compile_eval_plans([model] * len(levels), levels, method=method)
+        reset_model_build_count()
+        result = execute_plan(plan)
+        assert model_build_count() == 1
+        assert list(result.values) == [model.rtt_quantile(p, method=method) for p in levels]
+
     def test_values_match_per_model_quantiles_bitwise(self):
         models = _models()
         for plan in compile_eval_plans(models, PROBABILITY):
@@ -242,7 +265,7 @@ class TestParallelExecutor:
 
     def test_worker_errors_propagate(self):
         bad = EvalPlan(
-            probability=PROBABILITY,
+            probabilities=(PROBABILITY,),
             method="inversion",
             indices=(0,),
             model_params=(

@@ -154,7 +154,7 @@ class TestRemoteExecution:
 
     def test_plan_errors_propagate_and_do_not_mark_the_host_down(self):
         bad = EvalPlan(
-            probability=PROBABILITY,
+            probabilities=(PROBABILITY,),
             method="inversion",
             indices=(0,),
             model_params=(

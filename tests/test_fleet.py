@@ -140,6 +140,20 @@ class TestServing:
         # Three distinct cache entries for one operating point.
         assert fleet.stats.evaluations == 3
 
+    def test_one_point_at_several_levels_shares_its_model_build(self):
+        from repro.core.rtt import model_build_count, reset_model_build_count
+
+        fleet = Fleet()
+        levels = (0.99, 0.999, 0.99999)
+        reset_model_build_count()
+        answers = fleet.serve(
+            [Request("paper-dsl", downlink_load=0.4, probability=p) for p in levels]
+        )
+        assert model_build_count() == 1
+        assert fleet.stats.evaluations == len(levels)
+        model = get_scenario("paper-dsl").model_at_load(0.4)
+        assert [a.rtt_quantile_s for a in answers] == [model.rtt_quantile(p) for p in levels]
+
     def test_request_convenience_wrapper(self):
         fleet = Fleet()
         answer = fleet.request("ftth", downlink_load=0.4, tag="one-off")

@@ -622,7 +622,7 @@ class TestWorkerMode:
         from repro.serve import wire
 
         bad = EvalPlan(
-            probability=0.99999,
+            probabilities=(0.99999,),
             method="inversion",
             indices=(0,),
             model_params=(
