@@ -227,6 +227,20 @@ class TestFleetAdmit:
             "Answer",
         ]
 
+    def test_batched_exact_admits_share_probe_rounds(self):
+        budgets = (40.0, 60.0, 80.0)
+        requests = [
+            Request(PRESET, kind="admit", rtt_budget_ms=budget, exact=True)
+            for budget in budgets
+        ]
+        fleet = Fleet(probability=PROBABILITY)
+        answers = fleet.serve(requests)
+        single = Fleet(probability=PROBABILITY)
+        expected = [single.admit(request) for request in requests]
+        assert [a.result for a in answers] == [e.result for e in expected]
+        # One serve batch per round of the three searches, not per probe.
+        assert fleet.stats.batches < single.stats.batches
+
     def test_dict_requests_default_probability_and_method(self):
         fleet = Fleet(probability=PROBABILITY)
         answer = fleet.admit(
