@@ -243,7 +243,8 @@ class RequestCoalescer:
         The request is resolved (and validated) synchronously so a bad
         admit raises in its own caller.  Its load search then runs on
         the loop: a surface admit finishes inline, an exact one awaits
-        each Brent probe as an ``exact=True`` rtt :meth:`submit`.
+        each Brent probe as an ``exact=True`` rtt request, windowed and
+        single-flighted like any other (even after :meth:`aclose`).
         """
         item = self.fleet._resolve_admit(request)
         key = _admit_key(request, item.scenario_key, item.probability, item.method)
