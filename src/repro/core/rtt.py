@@ -29,7 +29,6 @@ import os
 import time
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from types import SimpleNamespace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -561,11 +560,8 @@ class PingTimeModel(ComposedRttModel):
 
     @property
     def uplink_load(self) -> float:
-        """``rho_u = 8 N P_C / (T C)``."""
-        return (
-            8.0 * self.num_gamers * self.client_packet_bytes
-            / (self.tick_interval_s * self.aggregation_rate_bps)
-        )
+        """``rho_u = 8 N P_C / (T C)`` (see :func:`model_uplink_load`)."""
+        return model_uplink_load(self.__dict__)
 
     @property
     def mean_burst_service_s(self) -> float:
@@ -796,11 +792,7 @@ class MixPingTimeModel(ComposedRttModel):
     @property
     def uplink_load(self) -> float:
         """Total upstream load: ``sum_i 8 N_i P_C_i / (T_i C)``."""
-        return sum(
-            8.0 * flow.weight * self.num_gamers * flow.client_packet_bytes
-            / (flow.tick_interval_s * self.aggregation_rate_bps)
-            for flow in self.flows
-        )
+        return model_uplink_load(self.__dict__)
 
     @property
     def mean_burst_service_s(self) -> float:
@@ -999,15 +991,26 @@ def model_params(model: "ComposedRttModel") -> Dict[str, float]:
 
 
 def model_uplink_load(params: ModelParams) -> float:
-    """The uplink load of the model ``params`` describe, without building it.
+    """The upstream aggregation load of a model's parameters (eq. (37)).
 
-    Evaluates the model class's own ``uplink_load`` property (eq. (37))
-    on the bare parameters, so the float is the one a built model
-    reports; building the model would also validate it and count a
-    model construction (:func:`model_build_count`).
+    ``8 N P_C / (T C)`` for one server, ``sum_i 8 w_i N P_C_i / (T_i C)``
+    over the flows of a multi-server mix (a parameter set with a
+    ``flows`` key).  Both models' ``uplink_load`` properties evaluate
+    this function, so a parameter set reports the float its built model
+    would — without the construction (:func:`model_build_count`).
     """
-    cls = MixPingTimeModel if "flows" in params else PingTimeModel
-    return cls.uplink_load.fget(SimpleNamespace(**params))
+    num_gamers = params["num_gamers"]
+    rate_bps = params["aggregation_rate_bps"]
+    if "flows" in params:
+        return sum(
+            8.0 * flow.weight * num_gamers * flow.client_packet_bytes
+            / (flow.tick_interval_s * rate_bps)
+            for flow in map(MixFlow.coerce, params["flows"])
+        )
+    return (
+        8.0 * num_gamers * params["client_packet_bytes"]
+        / (params["tick_interval_s"] * rate_bps)
+    )
 
 
 @dataclass(frozen=True)
@@ -1049,7 +1052,7 @@ class EvalPlan:
         built: Dict[tuple, ComposedRttModel] = {}
         models = []
         for params in self.model_params:
-            key = tuple(sorted(params.items()))
+            key = _params_key(params)
             if key not in built:
                 cls = MixPingTimeModel if "flows" in params else PingTimeModel
                 built[key] = cls(**params)
@@ -1091,6 +1094,11 @@ class PlanResult:
     #: it into per-signature cost statistics (FleetStats.plan_costs) —
     #: the measured grounding for cost-model plan chunking.
     exec_s: float = 0.0
+
+
+def _params_key(params: ModelParams) -> tuple:
+    """A hashable identity of a parameter set (one operating point)."""
+    return tuple(sorted(params.items()))
 
 
 def _signature_key(params: ModelParams):
@@ -1269,7 +1277,9 @@ def compile_eval_plans(
     per model.  For the ``"inversion"`` method the batch is partitioned
     into stack-compatible signature groups (first-appearance order) and
     each group is cut into chunks; other methods are evaluated per
-    model, so they are chunked in batch order.
+    model, so they are chunked in batch order.  Every entry of one
+    operating point (the same parameters asked at several levels) lands
+    in the plan of its first appearance, which builds the model once.
 
     Chunk sizing is a pure scheduling knob — per-transform lockstep
     searches are independent of which other models share their rounds —
@@ -1303,6 +1313,17 @@ def compile_eval_plans(
     else:
         groups[None] = list(range(len(params_list)))
     plans: List[EvalPlan] = []
+
+    def emit(chunk: List[int]) -> None:
+        plans.append(
+            EvalPlan(
+                probabilities=tuple(probabilities[i] for i in chunk),
+                method=method,
+                indices=tuple(chunk),
+                model_params=tuple(params_list[i] for i in chunk),
+            )
+        )
+
     for key, indices in groups.items():
         if chunk_size is not None:
             size = chunk_size
@@ -1310,16 +1331,17 @@ def compile_eval_plans(
             size = cost_model.chunk_size_for(_signature_label(method, key))
         else:
             size = DEFAULT_PLAN_CHUNK
-        for start in range(0, len(indices), size):
-            chunk = indices[start : start + size]
-            plans.append(
-                EvalPlan(
-                    probabilities=tuple(probabilities[i] for i in chunk),
-                    method=method,
-                    indices=tuple(chunk),
-                    model_params=tuple(params_list[i] for i in chunk),
-                )
-            )
+        points: Dict[tuple, List[int]] = {}
+        for index in indices:
+            points.setdefault(_params_key(params_list[index]), []).append(index)
+        chunk: List[int] = []
+        for entries in points.values():
+            chunk.extend(entries)
+            if len(chunk) >= size:
+                emit(chunk)
+                chunk = []
+        if chunk:
+            emit(chunk)
     return plans
 
 
@@ -1329,9 +1351,11 @@ def execute_plan(plan: EvalPlan) -> PlanResult:
     Rebuilds the plan's models from their parameters and runs one
     stacked lockstep search per factor-signature group (normally one —
     plans are compiled per group; the re-grouping is defensive), or the
-    per-model fallback for methods without a batch formulation.  The
-    rebuilt models reproduce the originals' floats, which is what makes
-    the plan executor-agnostic.
+    per-model fallback for methods without a batch formulation.  A
+    group of one search has nothing to stack with: it runs the scalar
+    search of ``model.rtt_quantile`` (same floats, no stacked array
+    calls).  The rebuilt models reproduce the originals' floats, which
+    is what makes the plan executor-agnostic.
     """
     started = time.perf_counter()
     models = plan.build_models()
@@ -1340,17 +1364,18 @@ def execute_plan(plan: EvalPlan) -> PlanResult:
     if plan.method == "inversion":
         for indices in QueueingMgfStack.group_indices(models).values():
             group = [models[i] for i in indices]
-            stack = QueueingMgfStack(group)
+            stack = QueueingMgfStack(group) if len(group) > 1 else None
             queueing = quantiles_from_mgfs(
                 [m.queueing_mgf for m in group],
                 [plan.probabilities[i] for i in indices],
-                scale_hints=stack.scale_hints(),
-                atoms_at_zero=stack.atoms_at_zero(),
+                scale_hints=[m._inversion_scale_hint for m in group],
+                atoms_at_zero=[m.queueing_atom for m in group],
                 stack_eval=stack,
             )
             for index, model, value in zip(indices, group, queueing):
                 values[index] = model.deterministic_delay_s + value
-            stacked_calls += stack.array_calls
+            if stack is not None:
+                stacked_calls += stack.array_calls
     else:
         values = [
             m.rtt_quantile(p, method=plan.method)

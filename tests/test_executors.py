@@ -52,6 +52,21 @@ class TestCompileEvalPlans:
         with pytest.raises(ParameterError):
             compile_eval_plans(models, [0.99, 1.5, 0.9, 0.9])
 
+    def test_a_point_keeps_its_levels_in_one_plan(self):
+        models = _models(loads=(0.3, 0.4, 0.5), presets=("paper-dsl",))
+        levels = (0.999, 0.99999)
+        batch = [m for _ in levels for m in models]
+        plans = compile_eval_plans(
+            batch, [p for p in levels for _ in models], chunk_size=2
+        )
+        # Three points, two levels each: one plan per point, not a
+        # chunk boundary between the two entries of a point.
+        assert [plan.indices for plan in plans] == [(0, 3), (1, 4), (2, 5)]
+        reset_model_build_count()
+        for plan in plans:
+            execute_plan(plan)
+        assert model_build_count() == len(models)
+
     def test_groups_by_erlang_order(self):
         models = [
             get_scenario("paper-dsl").derive(erlang_order=order).model_at_load(0.4)
@@ -115,6 +130,13 @@ class TestExecutePlan:
             assert result.evaluations == len(plan)
             assert result.stacked_mgf_calls > 0
             assert result.worker_pid == os.getpid()
+
+    def test_a_single_search_runs_the_scalar_path(self):
+        model = get_scenario("ftth").model_at_load(0.4)
+        [plan] = compile_eval_plans([model], PROBABILITY)
+        result = execute_plan(plan)
+        assert result.values == (model.rtt_quantile(PROBABILITY),)
+        assert result.stacked_mgf_calls == 0
 
     def test_fallback_methods_run_per_model(self):
         models = _models(loads=(0.5,))
