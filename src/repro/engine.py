@@ -29,11 +29,11 @@ from typing import Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core.dimensioning import AdmissionResult, DimensioningResult, admission_search
+from .core.dimensioning import AdmissionResult, DimensioningResult
 from .core.inversion import drive
 from .core.rtt import DEFAULT_QUANTILE, QUANTILE_METHODS, model_uplink_load
 from .errors import ParameterError
-from .fleet import Fleet, Request
+from .fleet import Fleet, Request, _ResolvedAdmit
 from .scenarios.base import Scenario
 from .scenarios.mix import MixScenario
 from .scenarios.sweep import SweepPoint, SweepSeries, default_load_grid
@@ -208,10 +208,6 @@ class Engine:
         self.attach_surface(index)
         return index
 
-    def _surface(self, method: str):
-        """The fleet's servable surface for this scenario and method."""
-        return self.fleet.surface_for(self.scenario.cache_key(), method)
-
     # ------------------------------------------------------------------
     # Sweeps (the Figure 3 / Figure 4 engine)
     # ------------------------------------------------------------------
@@ -252,7 +248,7 @@ class Engine:
                     rtt_quantile_s=answer.rtt_quantile_s,
                 )
             )
-        surface = self._surface(method)
+        surface = self.fleet.surface_for(scenario.cache_key(), method)
         if (
             surface is not None
             and surface.probability_lo <= probability <= surface.probability_hi
@@ -330,19 +326,20 @@ class Engine:
         (``source="exact"``).  ``exact=True`` skips any surface.
         """
         probability, method = self._resolve(probability, method)
-        return drive(
-            admission_search(
-                self.scenario,
-                rtt_budget_s,
-                probability,
-                surface=None if exact else self._surface(method),
-                load=load,
-                num_gamers=num_gamers,
-                load_resolution=load_resolution,
-                max_load_ceiling=max_load_ceiling,
-            ),
-            lambda point: self.rtt_quantile(point, probability, method),
+        item = _ResolvedAdmit(
+            scenario=self.scenario,
+            scenario_key=self.scenario.cache_key(),
+            rtt_budget_s=rtt_budget_s,
+            probability=probability,
+            method=method,
+            exact=exact,
+            load=load,
+            num_gamers=num_gamers,
+            load_resolution=load_resolution,
+            max_load_ceiling=max_load_ceiling,
         )
+        (answer,) = drive(self.fleet._admit_rounds([item]), self.fleet._quantiles)
+        return answer.result
 
     # ------------------------------------------------------------------
     # Discrete-event validation

@@ -510,7 +510,7 @@ def _merge(
 
 
 async def drive_async(search: Search[Any], evaluate) -> Any:
-    """:func:`~repro.core.dimensioning.drive` for an async ``evaluate``."""
+    """:func:`~repro.core.inversion.drive` for an async ``evaluate``."""
     try:
         point = next(search)
         while True:
@@ -521,13 +521,24 @@ async def drive_async(search: Search[Any], evaluate) -> Any:
 
 @dataclass(frozen=True)
 class _ResolvedAdmit:
-    """An admit request resolved against its scenario and fleet defaults."""
+    """An admit question resolved against its scenario and defaults.
 
-    request: Request
+    ``load`` / ``num_gamers`` is the proposed operating point (at most
+    one); the last two fields are the load search's resolution and
+    ceiling (see :func:`~repro.core.dimensioning.admission_search`).
+    """
+
     scenario: Scenario
     scenario_key: str
+    rtt_budget_s: float
     probability: float
     method: str
+    exact: bool = False
+    load: Optional[float] = None
+    num_gamers: Optional[float] = None
+    tag: Optional[str] = None
+    load_resolution: float = 1e-3
+    max_load_ceiling: float = 0.98
 
 
 class Fleet:
@@ -1042,11 +1053,15 @@ class Fleet:
         )
         method = self.method if request.method is None else request.method
         return _ResolvedAdmit(
-            request=request,
             scenario=scenario,
             scenario_key=scenario.cache_key(),
+            rtt_budget_s=float(request.rtt_budget_ms) / 1e3,
             probability=probability,
             method=method,
+            exact=request.exact,
+            load=request.downlink_load,
+            num_gamers=request.num_gamers,
+            tag=request.tag,
         )
 
     def _admit_rounds(
@@ -1060,27 +1075,29 @@ class Fleet:
         certified surface attached for the (scenario, method) — and not
         capped out by ``max_bound`` — answers its admit in O(1) before
         the first round; ``exact=True`` admits skip surfaces.  A batch
-        of surface admits therefore finishes without yielding.
+        of surface admits therefore finishes without yielding.  Every
+        admit path (:meth:`serve`, :meth:`admit`, the async fleet, the
+        coalescer and :meth:`Engine.admit <repro.engine.Engine.admit>`)
+        runs here, so each answered admit is counted once, when it is
+        answered.
         """
-        searches = []
-        for item in items:
-            request = item.request
-            self.stats.requests += 1
-            self.stats.admits += 1
-            searches.append(
-                admission_search(
-                    item.scenario,
-                    float(request.rtt_budget_ms) / 1e3,
-                    item.probability,
-                    surface=(
-                        None
-                        if request.exact
-                        else self.surface_for(item.scenario_key, item.method)
-                    ),
-                    load=request.downlink_load,
-                    num_gamers=request.num_gamers,
-                )
+        searches = [
+            admission_search(
+                item.scenario,
+                item.rtt_budget_s,
+                item.probability,
+                surface=(
+                    None
+                    if item.exact
+                    else self.surface_for(item.scenario_key, item.method)
+                ),
+                load=item.load,
+                num_gamers=item.num_gamers,
+                load_resolution=item.load_resolution,
+                max_load_ceiling=item.max_load_ceiling,
             )
+            for item in items
+        ]
 
         def probe(index: int, load: float) -> Request:
             item = items[index]
@@ -1095,6 +1112,8 @@ class Fleet:
         results = yield from lockstep(searches, probe)
         answers = []
         for item, result in zip(items, results):
+            self.stats.requests += 1
+            self.stats.admits += 1
             if result.source == "surface":
                 self.stats.admit_surface += 1
             else:
@@ -1104,7 +1123,7 @@ class Fleet:
                     scenario_key=item.scenario_key,
                     method=item.method,
                     result=result,
-                    tag=item.request.tag,
+                    tag=item.tag,
                 )
             )
         return answers

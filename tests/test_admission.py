@@ -333,8 +333,10 @@ class TestSurfaceAdmit:
         engine.attach_surface(paper_surface)
         surfaced = engine.dimension(in_region_budget_ms / 1e3)
         # The surface answered: no quantile was evaluated on the stack.
-        assert engine.fleet.stats.evaluations == 0
-        assert engine.fleet.stats.requests == 0
+        stats = engine.fleet.stats
+        assert stats.evaluations == 0
+        # The dimension counts as one surface admit; no probe was served.
+        assert stats.requests == stats.admits == stats.admit_surface == 1
         assert surfaced.max_load == pytest.approx(exact.max_load, rel=5e-3)
         assert surfaced.max_gamers in (exact.max_gamers - 1, exact.max_gamers)
 

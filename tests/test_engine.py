@@ -227,6 +227,16 @@ class TestDimension:
         assert model_build_count() == stats.evaluations == stats.cache_misses
         assert result.rtt_at_max_load_s <= 0.050 * 1.02
 
+    def test_admits_are_counted_by_the_fleet(self):
+        engine = Engine(TICK40)
+        engine.dimension(0.050)
+        engine.admit(0.060, load=0.3)
+        stats = engine.fleet.stats
+        assert stats.admits == stats.admit_exact == 2
+        assert stats.admit_surface == 0
+        # The admits plus their probes.
+        assert stats.requests == 2 + stats.cache_hits + stats.cache_misses
+
     def test_redimensioning_reuses_cached_probes(self):
         engine = Engine(TICK40)
         engine.dimension(0.050)
