@@ -15,11 +15,10 @@ The search is a suspended generator (:func:`admission_search` over
 :func:`capacity_search`): it yields
 each downlink load it needs the RTT quantile at and is sent the
 quantile back, so the caller decides how quantiles are computed.
-:class:`repro.engine.Engine` answers the probes one by one through its
-fleet (:func:`~repro.core.inversion.drive`); :class:`repro.fleet.Fleet`
-runs many admits' searches in lockstep rounds
-(:func:`~repro.core.inversion.lockstep`), each round one batch of exact
-requests through its cache and plan path.  The Brent steps are
+:class:`repro.fleet.Fleet` runs the searches of every admit — its own,
+an :class:`repro.engine.Engine`'s, the request coalescer's — in lockstep
+rounds (:func:`~repro.core.inversion.lockstep`), each round one batch of
+exact requests through its cache and plan path.  The Brent steps are
 :func:`repro.core.inversion._brent`, a port of scipy's ``brentq`` that
 returns the same root bit for bit.  :func:`max_tolerable_load` is the
 historical keyword interface, kept as a thin shim over an

@@ -991,13 +991,10 @@ def model_params(model: "ComposedRttModel") -> Dict[str, float]:
 
 
 def model_uplink_load(params: ModelParams) -> float:
-    """The upstream aggregation load of a model's parameters (eq. (37)).
+    """The uplink load of a model's parameters, without building it.
 
-    ``8 N P_C / (T C)`` for one server, ``sum_i 8 w_i N P_C_i / (T_i C)``
-    over the flows of a multi-server mix (a parameter set with a
-    ``flows`` key).  Both models' ``uplink_load`` properties evaluate
-    this function, so a parameter set reports the float its built model
-    would — without the construction (:func:`model_build_count`).
+    ``8 N P_C / (T C)``, summed over the flows of a mix (``8 w_i N
+    P_C_i / (T_i C)``); both models' ``uplink_load`` properties call it.
     """
     num_gamers = params["num_gamers"]
     rate_bps = params["aggregation_rate_bps"]
@@ -1306,42 +1303,34 @@ def compile_eval_plans(
     params_list = [
         dict(m) if isinstance(m, Mapping) else model_params(m) for m in models
     ]
-    groups: "Dict[object, List[int]]" = {}
-    if method == "inversion":
-        for index, params in enumerate(params_list):
-            groups.setdefault(_signature_key(params), []).append(index)
-    else:
-        groups[None] = list(range(len(params_list)))
+    # signature group -> operating point -> its entries (batch indices)
+    groups: "Dict[object, Dict[tuple, List[int]]]" = {}
+    for index, params in enumerate(params_list):
+        key = _signature_key(params) if method == "inversion" else None
+        groups.setdefault(key, {}).setdefault(_params_key(params), []).append(index)
     plans: List[EvalPlan] = []
-
-    def emit(chunk: List[int]) -> None:
-        plans.append(
-            EvalPlan(
-                probabilities=tuple(probabilities[i] for i in chunk),
-                method=method,
-                indices=tuple(chunk),
-                model_params=tuple(params_list[i] for i in chunk),
-            )
-        )
-
-    for key, indices in groups.items():
+    for key, points in groups.items():
         if chunk_size is not None:
             size = chunk_size
         elif cost_model is not None:
             size = cost_model.chunk_size_for(_signature_label(method, key))
         else:
             size = DEFAULT_PLAN_CHUNK
-        points: Dict[tuple, List[int]] = {}
-        for index in indices:
-            points.setdefault(_params_key(params_list[index]), []).append(index)
-        chunk: List[int] = []
+        chunks: List[List[int]] = [[]]
         for entries in points.values():
-            chunk.extend(entries)
-            if len(chunk) >= size:
-                emit(chunk)
-                chunk = []
-        if chunk:
-            emit(chunk)
+            if len(chunks[-1]) >= size:
+                chunks.append([])
+            chunks[-1].extend(entries)
+        plans.extend(
+            EvalPlan(
+                probabilities=tuple(probabilities[i] for i in chunk),
+                method=method,
+                indices=tuple(chunk),
+                model_params=tuple(params_list[i] for i in chunk),
+            )
+            for chunk in chunks
+            if chunk
+        )
     return plans
 
 
@@ -1352,9 +1341,8 @@ def execute_plan(plan: EvalPlan) -> PlanResult:
     stacked lockstep search per factor-signature group (normally one —
     plans are compiled per group; the re-grouping is defensive), or the
     per-model fallback for methods without a batch formulation.  A
-    group of one search has nothing to stack with: it runs the scalar
-    search of ``model.rtt_quantile`` (same floats, no stacked array
-    calls).  The rebuilt models reproduce the originals' floats, which
+    group of one search has nothing to stack with and runs the scalar
+    search.  The rebuilt models reproduce the originals' floats, which
     is what makes the plan executor-agnostic.
     """
     started = time.perf_counter()
@@ -1364,18 +1352,17 @@ def execute_plan(plan: EvalPlan) -> PlanResult:
     if plan.method == "inversion":
         for indices in QueueingMgfStack.group_indices(models).values():
             group = [models[i] for i in indices]
-            stack = QueueingMgfStack(group) if len(group) > 1 else None
+            stack = QueueingMgfStack(group)
             queueing = quantiles_from_mgfs(
                 [m.queueing_mgf for m in group],
                 [plan.probabilities[i] for i in indices],
-                scale_hints=[m._inversion_scale_hint for m in group],
-                atoms_at_zero=[m.queueing_atom for m in group],
-                stack_eval=stack,
+                scale_hints=stack.scale_hints(),
+                atoms_at_zero=stack.atoms_at_zero(),
+                stack_eval=stack if len(group) > 1 else None,
             )
             for index, model, value in zip(indices, group, queueing):
                 values[index] = model.deterministic_delay_s + value
-            if stack is not None:
-                stacked_calls += stack.array_calls
+            stacked_calls += stack.array_calls
     else:
         values = [
             m.rtt_quantile(p, method=plan.method)

@@ -521,12 +521,8 @@ async def drive_async(search: Search[Any], evaluate) -> Any:
 
 @dataclass(frozen=True)
 class _ResolvedAdmit:
-    """An admit question resolved against its scenario and defaults.
-
-    ``load`` / ``num_gamers`` is the proposed operating point (at most
-    one); the last two fields are the load search's resolution and
-    ceiling (see :func:`~repro.core.dimensioning.admission_search`).
-    """
+    """An admit question resolved against its scenario and defaults
+    (the arguments of :func:`~repro.core.dimensioning.admission_search`)."""
 
     scenario: Scenario
     scenario_key: str

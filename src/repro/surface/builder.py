@@ -107,8 +107,8 @@ def _log_quantile_grid(
 ) -> np.ndarray:
     """``log(rtt_quantile_s)`` on the tensor grid, as one fleet batch.
 
-    The points run load-major, so each plan holds an operating point at
-    several quantile levels and builds its model once.
+    The plans keep every quantile level of one load together, so each
+    operating point's model is built once.
     """
     probabilities = [1.0 - 10.0 ** (-float(u)) for u in u_values]
     quantiles = engine.rtt_quantiles(
