@@ -25,11 +25,15 @@ Acceptance criteria asserted here (ISSUE 6):
 * every answer is bit-identical to a one-shot ``Fleet.serve`` pass;
 * the end-to-end HTTP daemon (in-process, ephemeral port) serves the
   same stream over ``POST /v1/rtt`` with bit-identical floats and
-  drains cleanly.
+  drains cleanly;
+* warm answer-cache hits from one sequential keep-alive client, at the
+  default 2 ms coalescing window, are answered inline: p50 below
+  1.0 ms and no window flushed during the hit phase.
 """
 
 import asyncio
 import json
+import statistics
 import time
 
 import pytest
@@ -85,35 +89,59 @@ async def _serve_coalesced(requests):
     return coalescer.fleet, list(answers)
 
 
+async def _post_rtt(reader, writer, request):
+    """One ``POST /v1/rtt`` round trip on an open connection."""
+    body = json.dumps(request.to_dict()).encode()
+    writer.write(
+        b"POST /v1/rtt HTTP/1.1\r\nHost: bench\r\n"
+        + f"Content-Length: {len(body)}\r\n\r\n".encode()
+        + body
+    )
+    await writer.drain()
+    status_line = await reader.readline()
+    status = int(status_line.split()[1])
+    length = None
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        if name.strip().lower() == "content-length":
+            length = int(value)
+    payload = json.loads(await reader.readexactly(length))
+    return status, payload
+
+
 async def _serve_over_http(requests):
     async with ServingDaemon(port=0, coalesce_ms=5.0, max_batch=len(requests)) as daemon:
         async def one(request):
             reader, writer = await asyncio.open_connection(daemon.host, daemon.port)
             try:
-                body = json.dumps(request.to_dict()).encode()
-                writer.write(
-                    b"POST /v1/rtt HTTP/1.1\r\nHost: bench\r\n"
-                    + f"Content-Length: {len(body)}\r\n\r\n".encode()
-                    + body
-                )
-                await writer.drain()
-                status_line = await reader.readline()
-                status = int(status_line.split()[1])
-                length = None
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    name, _, value = line.decode("latin-1").partition(":")
-                    if name.strip().lower() == "content-length":
-                        length = int(value)
-                payload = json.loads(await reader.readexactly(length))
-                return status, payload
+                return await _post_rtt(reader, writer, request)
             finally:
                 writer.close()
 
         results = await asyncio.gather(*(one(request) for request in requests))
         return daemon, results
+
+
+async def _warm_hits_over_http(request, hits):
+    """One sequential keep-alive client at the default coalescing window:
+    a miss warms the answer cache, then ``hits`` timed repeats hit it."""
+    async with ServingDaemon(port=0) as daemon:
+        reader, writer = await asyncio.open_connection(daemon.host, daemon.port)
+        try:
+            _, miss = await _post_rtt(reader, writer, request)
+            windows = daemon.fleet.stats.coalesced_batches
+            results, latencies = [], []
+            for _ in range(hits):
+                start = time.perf_counter()
+                results.append(await _post_rtt(reader, writer, request))
+                latencies.append(time.perf_counter() - start)
+            windows = daemon.fleet.stats.coalesced_batches - windows
+        finally:
+            writer.close()
+        return daemon, miss, results, latencies, windows
 
 
 @pytest.mark.benchmark(group="serving-daemon")
@@ -221,3 +249,52 @@ def test_daemon_round_trip_over_http(benchmark):
     assert daemon.draining is True
     assert daemon.coalescer.pending == 0
     assert daemon.coalescer.inflight_windows == 0
+
+
+#: Timed warm hits of the sequential keep-alive client.
+WARM_HITS = 200
+
+
+@pytest.mark.benchmark(group="serving-daemon")
+def test_warm_hits_skip_the_coalescing_window(benchmark):
+    request = Request("ftth", downlink_load=0.40, probability=PROBABILITY)
+    [reference] = Fleet().serve([request])
+
+    daemon, miss, results, latencies, windows = benchmark.pedantic(
+        lambda: asyncio.run(_warm_hits_over_http(request, WARM_HITS)),
+        rounds=1,
+        iterations=1,
+    )
+    latencies_ms = sorted(1e3 * latency for latency in latencies)
+    p50_ms = statistics.median(latencies_ms)
+    p99_ms = latencies_ms[int(0.99 * (len(latencies_ms) - 1))]
+    coalesce_ms = 1e3 * daemon.coalescer.max_delay_s
+
+    print_header("Warm LRU hits over HTTP at the default coalescing window")
+    print(f"coalescing window               : {coalesce_ms:g} ms")
+    print(f"sequential keep-alive hits      : {WARM_HITS}")
+    print(f"hit latency p50 / p99           : {p50_ms:.3f} / {p99_ms:.3f} ms")
+    print(f"windows during the hit phase    : {windows}")
+    print(f"inline hits                     : {daemon.fleet.stats.inline_hits}")
+
+    record_result(
+        "serving",
+        "warm_hits_over_http",
+        hits=WARM_HITS,
+        coalesce_ms=coalesce_ms,
+        hit_p50_ms=p50_ms,
+        hit_p99_ms=p99_ms,
+        hit_phase_windows=windows,
+        inline_hits=daemon.fleet.stats.inline_hits,
+    )
+
+    assert miss["cached"] is False
+    assert all(status == 200 for status, _ in results)
+    assert all(payload["cached"] is True for _, payload in results)
+    assert all(
+        payload["rtt_quantile_s"] == reference.rtt_quantile_s for _, payload in results
+    )
+    # Acceptance: a warm hit is answered inline, never windowed, so it
+    # costs far less than the 2 ms window it used to wait out.
+    assert windows == 0
+    assert p50_ms < 1.0

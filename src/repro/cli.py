@@ -45,8 +45,8 @@ files can be authored without reading the source.
 (:class:`repro.serve.ServingDaemon`): ``POST /v1/rtt`` answers one
 request record, ``POST /v1/batch`` streams a JSONL body through the
 same bounded windows, ``GET /healthz`` / ``GET /stats`` report
-liveness and the fleet/coalescer counters.  Concurrent requests are
-coalesced into stacked micro-batches (``--coalesce-ms`` window,
+liveness and the fleet/coalescer counters.  Warm hits are answered at
+once; concurrent misses are coalesced into stacked micro-batches (``--coalesce-ms`` window,
 ``--max-batch`` size) with identical in-flight misses evaluated once;
 SIGTERM/SIGINT drains gracefully and persists ``--warm-cache``.
 
@@ -341,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=2.0,
         help="request-coalescing window in milliseconds: concurrent "
-        "requests arriving within it are served as one stacked batch",
+        "misses arriving within it are served as one stacked batch "
+        "(warm hits never wait for it)",
     )
     serve.add_argument(
         "--max-batch",

@@ -355,14 +355,20 @@ class FleetStats:
     they are exact whether the plans ran in-process or on a process
     pool; ``plans_executed`` / ``remote_plans`` tell the two apart.
 
-    The ``coalesced_*`` / ``deduped_inflight`` counters are incremented
-    by a :class:`~repro.serve.RequestCoalescer` gathering concurrent
-    callers into micro-batches in front of this fleet:
-    ``coalesced_batches`` windows were flushed carrying
-    ``coalesced_requests`` requests in total, and ``deduped_inflight``
-    requests were answered by attaching to an identical operating point
-    already being evaluated by an earlier window (single-flight) instead
-    of evaluating it again.
+    The ``inline_hits`` / ``coalesced_*`` / ``deduped_inflight``
+    counters are incremented by a :class:`~repro.serve.RequestCoalescer`
+    gathering concurrent callers into micro-batches in front of this
+    fleet.  ``inline_hits`` requests were answered at submission from
+    the answer cache or a certified surface, without a window (also
+    counted in ``cache_hits`` / ``surface_hits``).  The windows carry
+    only what missed at submission: ``coalesced_batches`` windows were
+    flushed carrying ``coalesced_requests`` requests in total, and
+    ``deduped_inflight`` requests were answered by attaching to an
+    identical operating point already being evaluated by an earlier
+    window (single-flight) instead of evaluating it again.  Every
+    coalescer submission (admit probes included) lands in exactly one of
+    ``inline_hits``, ``coalesced_requests``, ``deduped_inflight`` and
+    ``admits``.
 
     ``hosts`` breaks the executed plans down by worker host when a
     :class:`~repro.executors.RemoteExecutor` served them (each
@@ -395,6 +401,7 @@ class FleetStats:
     remote_plans: int = 0
     warm_loaded: int = 0
     #: Request-coalescing counters (see :class:`repro.serve.RequestCoalescer`).
+    inline_hits: int = 0
     coalesced_batches: int = 0
     coalesced_requests: int = 0
     deduped_inflight: int = 0
@@ -844,6 +851,44 @@ class Fleet:
         )
         return _merge(materialized, admit_answers, answers)
 
+    def _probe_warm(
+        self, item: ResolvedRequest
+    ) -> Tuple[Optional[float], Optional[str]]:
+        """Triage one resolved request against the warm tiers.
+
+        Returns ``(value, outcome)``.  The exact answer cache wins over
+        a surface (its floats are exact); surface answers never enter
+        that cache.  A hit — ``value`` set, ``outcome`` ``None`` for the
+        cache and ``"hit"`` for a surface — is counted here, once
+        (``requests`` plus ``cache_hits`` or ``surface_hits``; a cache
+        hit also refreshes its LRU recency).  A non-hit returns ``value``
+        ``None`` with the surface outcome (``"miss"``, ``"fallback"``,
+        or ``None`` without surfaces) and counts nothing: whoever serves
+        the miss counts it.  Shared by :meth:`_plan_batch` and the
+        request coalescer's inline hit path.
+        """
+        key = item.key
+        value = self._cache.get(key)
+        if value is not None:
+            self._cache.move_to_end(key)
+            self.stats.requests += 1
+            self.stats.cache_hits += 1
+            return value, None
+        if self._surfaces is None:
+            return None, None
+        value, outcome = self._surfaces.probe(
+            key[0],
+            item.method,
+            item.downlink_load,
+            item.probability,
+            exact=item.exact,
+            max_bound=self._surface_max_bound,
+        )
+        if outcome == "hit":
+            self.stats.requests += 1
+            self.stats.surface_hits += 1
+        return value, outcome
+
     def _plan_batch(
         self, requests: Iterable[Union[Request, Mapping[str, Any]]]
     ) -> "_BatchPlan":
@@ -864,48 +909,27 @@ class Fleet:
         # The whole batch is valid: account for it and register the
         # scenarios its answers will be cached under.
         self.stats.batches += 1
-        self.stats.requests += len(resolved)
         for item in resolved:
             self._scenarios.setdefault(item.key[0], item.scenario)
 
-        # Probe the cache, then any attached certified surfaces; collect
-        # the distinct misses.  The exact answer cache wins over a
-        # surface (its floats are exact), surface answers are served
-        # without ever entering that cache, and everything the surfaces
-        # decline — no surface for the (scenario, method), exact floats
-        # demanded, operating point outside the certified region — goes
-        # down the exact stacked path unchanged.
+        # Probe the warm tiers (each hit counted by _probe_warm); count
+        # the rest as misses and collect the distinct ones.
         values: Dict[_CacheKey, float] = {}
         cached_flags: List[bool] = []
         misses: "OrderedDict[_CacheKey, Tuple[Scenario, float]]" = OrderedDict()
         for item in resolved:
             key = item.key
-            if key in self._cache:
-                self._cache.move_to_end(key)
-                values[key] = self._cache[key]
-                self.stats.cache_hits += 1
-                cached_flags.append(True)
+            value, outcome = self._probe_warm(item)
+            cached_flags.append(value is not None)
+            if value is not None:
+                values[key] = value
                 continue
-            if self._surfaces is not None:
-                value, outcome = self._surfaces.probe(
-                    key[0],
-                    item.method,
-                    item.downlink_load,
-                    item.probability,
-                    exact=item.exact,
-                    max_bound=self._surface_max_bound,
-                )
-                if outcome == "hit":
-                    self.stats.surface_hits += 1
-                    values[key] = value
-                    cached_flags.append(True)
-                    continue
-                if outcome == "fallback":
-                    self.stats.surface_fallbacks += 1
-                else:
-                    self.stats.surface_misses += 1
+            if outcome == "fallback":
+                self.stats.surface_fallbacks += 1
+            elif outcome == "miss":
+                self.stats.surface_misses += 1
+            self.stats.requests += 1
             self.stats.cache_misses += 1
-            cached_flags.append(False)
             if key not in misses:
                 misses[key] = (item.scenario, item.num_gamers)
 

@@ -4,9 +4,10 @@ Three cooperating pieces turn the batch-oriented
 :class:`~repro.fleet.Fleet` into a long-running, heavy-traffic service
 (stdlib-only — asyncio, no HTTP framework):
 
-* :mod:`repro.serve.coalescer` — :class:`RequestCoalescer` gathers
-  concurrent requests into micro-batch windows (flush on size or
-  delay), serves each window as one stacked batch through
+* :mod:`repro.serve.coalescer` — :class:`RequestCoalescer` answers
+  answer-cache and surface hits inline, gathers the concurrent misses
+  into micro-batch windows (flush on size or delay), serves each
+  window as one stacked batch through
   :meth:`~repro.fleet.AsyncFleet.serve_async`, and single-flights
   identical in-flight misses so every operating point is evaluated
   exactly once per window;

@@ -8,10 +8,16 @@ arriving within a few milliseconds of each other into **one** batch
 before handing them to the fleet.  :class:`RequestCoalescer` does
 exactly that:
 
-* concurrent :meth:`~RequestCoalescer.submit` calls accumulate in a
-  pending window that is flushed when it reaches ``max_batch`` requests
-  or when ``max_delay_ms`` elapses since the window opened — whichever
-  comes first;
+* a request the warm tiers can answer — an answer-cache hit, or a
+  certified-surface hit for a request not marked ``exact`` — is answered
+  at submission, on the loop, with ``cached=True``: it never waits out
+  a window (counted in ``inline_hits``).  Only what misses there
+  (including ``exact`` requests a surface would otherwise have
+  answered) is windowed and single-flighted below;
+* concurrent :meth:`~RequestCoalescer.submit` calls that miss
+  accumulate in a pending window that is flushed when it reaches
+  ``max_batch`` requests or when ``max_delay_ms`` elapses since the
+  window opened — whichever comes first;
 * each flushed window is served through
   :meth:`~repro.fleet.AsyncFleet.serve_async` as a single batch, and the
   per-request answers are routed back to the awaiting callers' futures;
@@ -41,10 +47,11 @@ exactly that:
   not errors.
 
 Bookkeeping lands in the owning fleet's :class:`~repro.fleet.FleetStats`:
-``coalesced_batches`` windows flushed, ``coalesced_requests`` requests
-carried by them (admit probes included), ``deduped_inflight`` requests
-answered by attaching to an in-flight evaluation.  Every fleet write
-happens on the loop thread; only plan execution leaves it.
+``inline_hits`` requests answered at submission, ``coalesced_batches``
+windows flushed, ``coalesced_requests`` requests carried by them (admit
+probes included), ``deduped_inflight`` requests answered by attaching
+to an in-flight evaluation.  Every fleet write happens on the loop
+thread; only plan execution leaves it.
 
 Example::
 
@@ -202,9 +209,10 @@ class RequestCoalescer:
 
         Resolution and validation happen immediately — a malformed
         request raises here, in the caller, and never poisons the window
-        the other callers are riding in.  The answer future resolves
-        when the request's window (or the in-flight evaluation it was
-        attached to) completes.  ``kind="admit"`` requests are answered
+        the other callers are riding in.  A warm-tier hit is answered
+        right away; otherwise the answer future resolves when the
+        request's window (or the in-flight evaluation it was attached
+        to) completes.  ``kind="admit"`` requests are answered
         by their load search, whose probes are submitted like any other
         request; identical concurrent admits are single-flighted and
         return one shared :class:`AdmissionAnswer`.
@@ -218,8 +226,13 @@ class RequestCoalescer:
         return await self._submit_rtt(request)
 
     async def _submit_rtt(self, request: Request) -> Answer:
-        """Window (or single-flight) one rtt request; no closed check."""
+        """Answer one rtt request inline from the warm tiers, or window
+        (or single-flight) it; no closed check."""
         resolved = self.fleet.resolve_request(request)
+        value, _ = self.fleet._probe_warm(resolved)
+        if value is not None:
+            self.stats.inline_hits += 1
+            return resolved.answer(value, cached=True)
         inflight = self._inflight.get(_flight_key(resolved))
         if inflight is not None:
             # Single-flight: the point is being evaluated right now by

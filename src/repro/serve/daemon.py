@@ -9,9 +9,11 @@ framework) and exposes:
 ``POST /v1/rtt``
     One request record (the :meth:`repro.fleet.Request.from_dict`
     JSONL fields) in, one answer object out.  Requests are routed
-    through the :class:`~repro.serve.RequestCoalescer`, so concurrent
-    connections arriving within the coalescing window are served as one
-    stacked batch and identical in-flight misses are evaluated once.
+    through the :class:`~repro.serve.RequestCoalescer`: an answer-cache
+    or certified-surface hit is answered at once, never windowed; misses
+    from concurrent connections arriving within the coalescing window
+    are served as one stacked batch, and identical in-flight misses are
+    evaluated once.
 
 ``POST /v1/admit``
     Admission control: one JSON record with an ``rtt_budget_ms`` (plus
@@ -96,6 +98,10 @@ DEFAULT_PORT = 8421
 
 #: Per-line / per-header buffer limit handed to the stream reader.
 _LINE_LIMIT = 1 << 20
+
+#: Blank lines tolerated before a request line (RFC 9112 section 2.2
+#: asks servers to skip at least one); more is a 400.
+_MAX_BLANK_LINES = 16
 
 #: Upper bound on a non-streaming (``/v1/rtt``) body.
 _MAX_BODY_BYTES = 1 << 20
@@ -410,15 +416,18 @@ class ServingDaemon:
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, str, Dict[str, str]]]:
         """Read one request line + headers; ``None`` on clean EOF."""
-        try:
-            request_line = await reader.readline()
-        except (asyncio.LimitOverrunError, ValueError) as exc:
-            raise _HttpError(400, "request line too long") from exc
-        if not request_line.strip():
-            if request_line:
-                # Tolerate a stray blank line between pipelined requests.
-                return await self._read_head(reader)
-            return None
+        # Tolerate a few stray blank lines between pipelined requests.
+        for _ in range(_MAX_BLANK_LINES + 1):
+            try:
+                request_line = await reader.readline()
+            except (asyncio.LimitOverrunError, ValueError) as exc:
+                raise _HttpError(400, "request line too long") from exc
+            if not request_line:
+                return None
+            if request_line.strip():
+                break
+        else:
+            raise _HttpError(400, "too many blank lines before the request line")
         parts = request_line.decode("latin-1").strip().split()
         if len(parts) != 3 or not parts[2].upper().startswith("HTTP/"):
             raise _HttpError(400, "malformed HTTP request line")

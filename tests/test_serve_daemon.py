@@ -325,6 +325,29 @@ class TestErrorResponses:
         assert status == 400
         assert json.loads(raw)["type"] == "_HttpError"
 
+    def test_stray_blank_lines_before_a_request_are_skipped(self):
+        async def scenario(daemon, client):
+            client.writer.write(b"\r\n\n\r\n")
+            status, _, payload = await client.request_json("GET", "/healthz")
+            return daemon, status, payload
+
+        daemon, status, payload = run_with_daemon(scenario)
+        assert status == 200
+        assert payload == {"status": "ok"}
+        assert daemon.http_errors == 0
+
+    def test_a_flood_of_blank_lines_is_a_counted_400(self):
+        async def scenario(daemon, client):
+            client.writer.write(b"\r\n" * 5000)
+            status, _, raw = await client.request("GET", "/healthz")
+            return daemon, status, raw, await client.at_eof()
+
+        daemon, status, raw, closed = run_with_daemon(scenario)
+        assert status == 400
+        assert "blank lines" in json.loads(raw)["error"]
+        assert closed
+        assert daemon.http_errors == 1
+
 
 class _SlowExecutor(SerialExecutor):
     def __init__(self, delay_s=0.05):
