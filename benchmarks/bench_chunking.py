@@ -30,7 +30,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.rtt import DEFAULT_PLAN_CHUNK, CostModel, compile_eval_plans
+from repro.core.rtt import CostModel, compile_eval_plans
 from repro.executors import ParallelExecutor
 from repro.fleet import Fleet, Request
 from repro.scenarios import get_scenario
@@ -53,6 +53,11 @@ GROUPS = (
 )
 
 
+#: The legacy static chunk: what an unobserved cost model gives the
+#: paper-default signature (32 models per plan).
+STATIC_CHUNK = CostModel().chunk_size_for("inversion/K9")
+
+
 class StaticChunks(CostModel):
     """The legacy policy: every signature chunks at 32, FIFO dispatch.
 
@@ -62,7 +67,7 @@ class StaticChunks(CostModel):
     """
 
     def chunk_size_for(self, label):
-        return DEFAULT_PLAN_CHUNK
+        return STATIC_CHUNK
 
     def predict_plan_cost_s(self, plan):
         return 1.0

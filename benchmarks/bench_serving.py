@@ -28,7 +28,14 @@ Acceptance criteria asserted here (ISSUE 6):
   drains cleanly;
 * warm answer-cache hits from one sequential keep-alive client, at the
   default 2 ms coalescing window, are answered inline: p50 below
-  1.0 ms and no window flushed during the hit phase.
+  1.0 ms and no window flushed during the hit phase;
+* a lone cold miss from one sequential keep-alive client, at default
+  settings, is flushed at the end of its loop turn instead of waiting
+  out the coalescing delay: HTTP p50 within 1 ms of the in-process
+  ``Fleet.serve`` p50 of the same requests;
+* an ``exact=true`` ``/v1/admit`` over HTTP pays no delay per probe
+  round either: p50 at most 1.5x the in-process ``Fleet.admit`` p50 of
+  the same admits.
 """
 
 import asyncio
@@ -89,11 +96,11 @@ async def _serve_coalesced(requests):
     return coalescer.fleet, list(answers)
 
 
-async def _post_rtt(reader, writer, request):
-    """One ``POST /v1/rtt`` round trip on an open connection."""
-    body = json.dumps(request.to_dict()).encode()
+async def _post(reader, writer, path, record):
+    """One ``POST`` round trip on an open connection."""
+    body = json.dumps(record).encode()
     writer.write(
-        b"POST /v1/rtt HTTP/1.1\r\nHost: bench\r\n"
+        f"POST {path} HTTP/1.1\r\nHost: bench\r\n".encode()
         + f"Content-Length: {len(body)}\r\n\r\n".encode()
         + body
     )
@@ -110,6 +117,11 @@ async def _post_rtt(reader, writer, request):
             length = int(value)
     payload = json.loads(await reader.readexactly(length))
     return status, payload
+
+
+async def _post_rtt(reader, writer, request):
+    """One ``POST /v1/rtt`` round trip on an open connection."""
+    return await _post(reader, writer, "/v1/rtt", request.to_dict())
 
 
 async def _serve_over_http(requests):
@@ -142,6 +154,45 @@ async def _warm_hits_over_http(request, hits):
         finally:
             writer.close()
         return daemon, miss, results, latencies, windows
+
+
+async def _paired_over_http(requests, path, serve_in_process):
+    """Answer each request both in process and over HTTP, pair by pair.
+
+    One sequential keep-alive client talks to a daemon at default
+    settings; ``serve_in_process`` answers the same request on its own
+    fleet.  Interleaving the pairs keeps host drift out of the
+    comparison, and the side that goes first alternates so neither
+    profits from the other having just run the same computation.
+    Returns the daemon and one ``(expected, status, payload,
+    in_process_s, http_s)`` row per request.
+    """
+    async with ServingDaemon(port=0) as daemon:
+        reader, writer = await asyncio.open_connection(daemon.host, daemon.port)
+
+        async def over_http(request):
+            start = time.perf_counter()
+            status, payload = await _post(reader, writer, path, request.to_dict())
+            return status, payload, time.perf_counter() - start
+
+        rows = []
+        try:
+            for index, request in enumerate(requests):
+                if index % 2:
+                    status, payload, http_s = await over_http(request)
+                start = time.perf_counter()
+                expected = serve_in_process(request)
+                in_process_s = time.perf_counter() - start
+                if not index % 2:
+                    status, payload, http_s = await over_http(request)
+                rows.append((expected, status, payload, in_process_s, http_s))
+        finally:
+            writer.close()
+        return daemon, rows
+
+
+def _p50_ms(seconds):
+    return 1e3 * statistics.median(seconds)
 
 
 @pytest.mark.benchmark(group="serving-daemon")
@@ -298,3 +349,118 @@ def test_warm_hits_skip_the_coalescing_window(benchmark):
     # costs far less than the 2 ms window it used to wait out.
     assert windows == 0
     assert p50_ms < 1.0
+
+
+#: Distinct cold operating points for the lone-miss client: four access
+#: profiles x 30 loads, each asked exactly once.
+COLD_PRESETS = ("paper-dsl", "cable", "ftth", "lte")
+COLD_LOADS = tuple(round(0.20 + 0.01 * index, 2) for index in range(30))
+
+
+@pytest.mark.benchmark(group="serving-daemon")
+def test_lone_cold_miss_skips_the_coalescing_delay(benchmark):
+    requests = [
+        Request(preset, downlink_load=load, probability=PROBABILITY)
+        for load in COLD_LOADS
+        for preset in COLD_PRESETS
+    ]
+    fleet = Fleet()
+
+    daemon, rows = benchmark.pedantic(
+        lambda: asyncio.run(
+            _paired_over_http(
+                requests, "/v1/rtt", lambda request: fleet.serve([request])[0]
+            )
+        ),
+        rounds=1,
+        iterations=1,
+    )
+    in_process_p50_ms = _p50_ms([row[3] for row in rows])
+    http_p50_ms = _p50_ms([row[4] for row in rows])
+    stats = daemon.fleet.stats
+
+    print_header("Lone cold misses over HTTP at default settings")
+    print(f"coalescing delay bound          : "
+          f"{1e3 * daemon.coalescer.max_delay_s:g} ms")
+    print(f"sequential cold requests        : {len(requests)}")
+    print(f"in-process Fleet.serve p50      : {in_process_p50_ms:.3f} ms")
+    print(f"HTTP p50                        : {http_p50_ms:.3f} ms")
+    print(f"windows / requests per window   : {stats.coalesced_batches} / "
+          f"{stats.coalesced_requests / max(stats.coalesced_batches, 1):.2f}")
+
+    record_result(
+        "serving",
+        "lone_cold_miss_over_http",
+        requests=len(requests),
+        in_process_p50_ms=in_process_p50_ms,
+        http_p50_ms=http_p50_ms,
+        windows=stats.coalesced_batches,
+    )
+
+    assert all(status == 200 for _, status, _, _, _ in rows)
+    assert all(payload["cached"] is False for _, _, payload, _, _ in rows)
+    assert all(
+        payload["rtt_quantile_s"] == expected.rtt_quantile_s
+        for expected, _, payload, _, _ in rows
+    )
+    # Acceptance: an idle daemon flushes a lone miss at the end of its
+    # loop turn, so HTTP adds transport cost, not the coalescing delay.
+    assert http_p50_ms <= in_process_p50_ms + 1.0
+
+
+#: Exact admits for the sequential admit client: distinct budgets of
+#: 30-109 ms over four access profiles (some unmeetable: a negative
+#: answer, not an error).
+ADMIT_BUDGETS_MS = tuple(30.0 + index for index in range(80))
+
+
+@pytest.mark.benchmark(group="serving-daemon")
+def test_exact_admits_skip_the_coalescing_delay(benchmark):
+    requests = [
+        Request(
+            COLD_PRESETS[index % len(COLD_PRESETS)],
+            kind="admit",
+            rtt_budget_ms=budget,
+            probability=PROBABILITY,
+            exact=True,
+        )
+        for index, budget in enumerate(ADMIT_BUDGETS_MS)
+    ]
+    fleet = Fleet()
+
+    daemon, rows = benchmark.pedantic(
+        lambda: asyncio.run(_paired_over_http(requests, "/v1/admit", fleet.admit)),
+        rounds=1,
+        iterations=1,
+    )
+    in_process_p50_ms = _p50_ms([row[3] for row in rows])
+    http_p50_ms = _p50_ms([row[4] for row in rows])
+    stats = daemon.fleet.stats
+
+    print_header("Exact admits over HTTP at default settings")
+    print(f"sequential exact admits         : {len(requests)}")
+    print(f"in-process Fleet.admit p50      : {in_process_p50_ms:.3f} ms")
+    print(f"HTTP p50                        : {http_p50_ms:.3f} ms")
+    print(f"HTTP / in-process               : "
+          f"{http_p50_ms / in_process_p50_ms:.2f}x")
+    print(f"probe windows / inline hits     : {stats.coalesced_batches} / "
+          f"{stats.inline_hits}")
+
+    record_result(
+        "serving",
+        "exact_admits_over_http",
+        admits=len(requests),
+        in_process_p50_ms=in_process_p50_ms,
+        http_p50_ms=http_p50_ms,
+        ratio=http_p50_ms / in_process_p50_ms,
+        windows=stats.coalesced_batches,
+    )
+
+    assert all(status == 200 for _, status, _, _, _ in rows)
+    assert stats.admit_exact == len(requests)
+    for expected, _, payload, _, _ in rows:
+        reference = json.loads(json.dumps(expected.to_dict()))
+        assert {key: payload[key] for key in reference} == reference
+    # Acceptance: each probe round is flushed at the end of its loop
+    # turn instead of waiting out the coalescing delay.
+    assert http_p50_ms <= 1.5 * in_process_p50_ms

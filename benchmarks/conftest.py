@@ -9,15 +9,22 @@ asserts the qualitative shape reported in the paper.  Run them with::
 Benchmarks that call :func:`record_result` additionally leave a
 machine-readable ``BENCH_<group>.json`` artifact in the working
 directory when the session ends (one file per group, e.g.
-``BENCH_serving.json`` / ``BENCH_parallel.json``), so CI can archive
-throughput and latency numbers across runs without scraping stdout.
+``BENCH_serving.json`` / ``BENCH_parallel.json``).  The files are
+committed at the repository root, so the perf trajectory lives in git:
+they are written diff-friendly (sorted keys, floats rounded to 3
+significant digits) and name the CPU count and the Python and numpy
+versions they were measured with, since several gated ratios depend on
+the core count.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import platform
 from typing import Any, Dict
+
+import numpy
 
 #: group -> benchmark name -> recorded metrics, accumulated across the
 #: whole session and flushed once at the end.
@@ -40,10 +47,31 @@ def record_result(group: str, name: str, **metrics: Any) -> None:
     _RESULTS.setdefault(group, {})[name] = metrics
 
 
+def _rounded(value: Any) -> Any:
+    """``value`` with every float rounded to 3 significant digits."""
+    if isinstance(value, float):
+        return float(f"{value:.3g}")
+    if isinstance(value, dict):
+        return {key: _rounded(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_rounded(item) for item in value]
+    return value
+
+
 def pytest_sessionfinish(session, exitstatus) -> None:
     """Write one ``BENCH_<group>.json`` per recorded group into the cwd."""
+    environment = {
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+    }
     for group, results in sorted(_RESULTS.items()):
         path = os.path.join(os.getcwd(), f"BENCH_{group}.json")
+        document = {
+            "environment": environment,
+            "group": group,
+            "results": _rounded(results),
+        }
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump({"group": group, "results": results}, handle, indent=2)
+            json.dump(document, handle, indent=2, sort_keys=True)
             handle.write("\n")

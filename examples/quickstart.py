@@ -159,12 +159,13 @@ def serving_daemon_quickstart() -> None:
     """The serving daemon: a long-running HTTP front-end over one fleet.
 
     ``fps-ping serve`` turns the fleet into a network service — stdlib
-    asyncio only, no HTTP framework.  Concurrent ``POST /v1/rtt``
-    callers landing within the coalescing window are gathered into one
-    stacked batch (identical in-flight misses are evaluated exactly
-    once), ``POST /v1/batch`` streams a JSONL body through bounded
-    windows with the answers chunked back in input order, and SIGTERM
-    drains gracefully, persisting the warm cache atomically::
+    asyncio only, no HTTP framework.  A ``POST /v1/rtt`` miss on an idle
+    daemon is served at once; concurrent callers missing while a window
+    executes are gathered into the next stacked batch (identical
+    in-flight misses are evaluated exactly once), ``POST /v1/batch``
+    streams a JSONL body through bounded windows with the answers
+    chunked back in input order, and SIGTERM drains gracefully,
+    persisting the warm cache atomically::
 
         $ fps-ping serve --port 8421 --workers 4 --coalesce-ms 2 \\
               --warm-cache cache.json

@@ -46,8 +46,10 @@ files can be authored without reading the source.
 request record, ``POST /v1/batch`` streams a JSONL body through the
 same bounded windows, ``GET /healthz`` / ``GET /stats`` report
 liveness and the fleet/coalescer counters.  Warm hits are answered at
-once; concurrent misses are coalesced into stacked micro-batches (``--coalesce-ms`` window,
-``--max-batch`` size) with identical in-flight misses evaluated once;
+once; a miss on an idle daemon flushes at once, and misses arriving
+while a window executes are coalesced into the next stacked micro-batch
+(held at most ``--coalesce-ms``, at most ``--max-batch`` requests) with
+identical in-flight misses evaluated once;
 SIGTERM/SIGINT drains gracefully and persists ``--warm-cache``.
 
 The distributed tier splits ``serve`` into two roles: ``--worker-mode``
@@ -340,9 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--coalesce-ms",
         type=float,
         default=2.0,
-        help="request-coalescing window in milliseconds: concurrent "
-        "misses arriving within it are served as one stacked batch "
-        "(warm hits never wait for it)",
+        help="request-coalescing bound in milliseconds: the longest a "
+        "miss is held while earlier windows execute; an idle daemon "
+        "flushes at once (misses held together are served as one "
+        "stacked batch; warm hits never wait)",
     )
     serve.add_argument(
         "--max-batch",

@@ -61,7 +61,6 @@ __all__ = [
     "MixFlow",
     "MixPingTimeModel",
     "DEFAULT_QUANTILE",
-    "DEFAULT_PLAN_CHUNK",
     "RttBreakdown",
     "QUANTILE_METHODS",
     "QueueingMgfStack",
@@ -960,17 +959,15 @@ class QueueingMgfStack:
 # ----------------------------------------------------------------------
 # The plan/execute layer: picklable work units for arbitrary executors
 # ----------------------------------------------------------------------
-#: Maximum number of models carried by one :class:`EvalPlan` under the
-#: legacy equal-count split.  Chunking a signature group does not change
-#: a single float (per-transform searches are independent of which other
-#: transforms share their lockstep rounds, see the stacked-inversion
-#: test-suite); it only bounds plan size so a process pool has enough
-#: units to balance.  Deprecated as an explicit ``chunk_size`` argument:
-#: prefer handing :func:`compile_eval_plans` a :class:`CostModel`, which
-#: sizes chunks per signature from measured cost (and reproduces this
-#: value for the paper-default ``inversion/K9`` signature when
-#: unobserved).  Kept importable for existing callers.
-DEFAULT_PLAN_CHUNK = 32
+#: Models per :class:`EvalPlan` of the paper-default ``inversion/K9``
+#: signature under an unobserved :class:`CostModel` (the calibration of
+#: its priors), and the split when a plan is compiled with neither a
+#: ``chunk_size`` nor a cost model.  Chunking a signature group does not
+#: change a single float (per-transform searches are independent of
+#: which other transforms share their lockstep rounds, see the
+#: stacked-inversion test-suite); it only bounds plan size so a process
+#: pool has enough units to balance.
+_PRIOR_PLAN_CHUNK = 32
 
 #: One model's parameters as a plain picklable mapping (PingTimeModel
 #: constructor keywords).
@@ -1192,8 +1189,8 @@ class CostModel:
     and a process pool's tail is no longer gated by one oversized
     expensive chunk.  Before any measurement arrives the model answers
     from static priors calibrated so the paper-default signature
-    (``"inversion/K9"``) chunks at :data:`DEFAULT_PLAN_CHUNK` — an
-    unobserved cost model reproduces the legacy static split there,
+    (``"inversion/K9"``) chunks at 32 models per plan — an unobserved
+    cost model reproduces the legacy static split there,
     while cheaper signatures pack more models per plan and costlier
     ones fewer.  The serving layer folds every executed plan back in
     through :meth:`observe` (fleet.py does so per batch), so the
@@ -1211,7 +1208,7 @@ class CostModel:
 
     def __init__(self, target_plan_cost_s: Optional[float] = None):
         if target_plan_cost_s is None:
-            target_plan_cost_s = DEFAULT_PLAN_CHUNK * _prior_model_cost_s(
+            target_plan_cost_s = _PRIOR_PLAN_CHUNK * _prior_model_cost_s(
                 "inversion/K9"
             )
         if target_plan_cost_s <= 0.0:
@@ -1241,7 +1238,7 @@ class CostModel:
         """Models per plan so one plan costs ~``target_plan_cost_s``."""
         cost = self.predict_model_cost_s(label)
         if cost <= 0.0:
-            return DEFAULT_PLAN_CHUNK
+            return _PRIOR_PLAN_CHUNK
         return max(1, min(int(round(self.target_plan_cost_s / cost)), self.max_chunk))
 
     def as_dict(self) -> Dict[str, Dict[str, float]]:
@@ -1281,11 +1278,11 @@ def compile_eval_plans(
     Chunk sizing is a pure scheduling knob — per-transform lockstep
     searches are independent of which other models share their rounds —
     so every policy yields the same floats.  An explicit ``chunk_size``
-    wins (the legacy equal-count split; :data:`DEFAULT_PLAN_CHUNK` is
-    the historical default); otherwise a ``cost_model`` sizes each
-    group's chunks from its predicted per-model cost, cutting
+    wins (the legacy equal-count split); otherwise a ``cost_model``
+    sizes each group's chunks from its predicted per-model cost, cutting
     heterogeneous batches into roughly equal-cost plans; with neither,
-    the static :data:`DEFAULT_PLAN_CHUNK` split applies.  Executing the
+    the static 32-model split applies (what an unobserved
+    :class:`CostModel` gives the paper-default signature).  Executing the
     plans in any order, on any executor, yields floats identical to
     ``model.rtt_quantile(probability, method=...)`` per model.
     """
@@ -1315,7 +1312,7 @@ def compile_eval_plans(
         elif cost_model is not None:
             size = cost_model.chunk_size_for(_signature_label(method, key))
         else:
-            size = DEFAULT_PLAN_CHUNK
+            size = _PRIOR_PLAN_CHUNK
         chunks: List[List[int]] = [[]]
         for entries in points.values():
             if len(chunks[-1]) >= size:

@@ -6,8 +6,9 @@ Three cooperating pieces turn the batch-oriented
 
 * :mod:`repro.serve.coalescer` — :class:`RequestCoalescer` answers
   answer-cache and surface hits inline, gathers the concurrent misses
-  into micro-batch windows (flush on size or delay), serves each
-  window as one stacked batch through
+  into micro-batch windows (group commit: flush at the end of the loop
+  turn when idle, else when a window finishes, on size or on the delay
+  bound), serves each window as one stacked batch through
   :meth:`~repro.fleet.AsyncFleet.serve_async`, and single-flights
   identical in-flight misses so every operating point is evaluated
   exactly once per window;

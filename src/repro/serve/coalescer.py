@@ -4,9 +4,8 @@ The stacking win of the cross-model inverter *grows* with batch
 heterogeneity — a batch of requests spanning several scenarios costs one
 joint array evaluation per search round instead of one per model.  A
 long-running service therefore wants to gather the independent requests
-arriving within a few milliseconds of each other into **one** batch
-before handing them to the fleet.  :class:`RequestCoalescer` does
-exactly that:
+arriving together into **one** batch before handing them to the fleet.
+:class:`RequestCoalescer` does exactly that:
 
 * a request the warm tiers can answer — an answer-cache hit, or a
   certified-surface hit for a request not marked ``exact`` — is answered
@@ -14,10 +13,17 @@ exactly that:
   a window (counted in ``inline_hits``).  Only what misses there
   (including ``exact`` requests a surface would otherwise have
   answered) is windowed and single-flighted below;
-* concurrent :meth:`~RequestCoalescer.submit` calls that miss
-  accumulate in a pending window that is flushed when it reaches
-  ``max_batch`` requests or when ``max_delay_ms`` elapses since the
-  window opened — whichever comes first;
+* misses are flushed by **group commit** (natural batching): a miss
+  arriving while no window is executing opens a pending window that
+  flushes at the end of the current loop turn, so every request
+  already readable in that turn — a :meth:`~RequestCoalescer.submit_many`
+  burst, one probe round of an exact admit, several connections read
+  together — joins it, and an idle coalescer never makes a lone miss
+  wait.  Misses arriving while a window executes accumulate instead,
+  and flush when an executing window finishes, when the pending window
+  reaches ``max_batch`` requests, or when ``max_delay_ms`` has elapsed
+  since it opened — whichever comes first.  Under load batches form by
+  themselves; ``max_delay_ms`` is only the longest a miss is held;
 * each flushed window is served through
   :meth:`~repro.fleet.AsyncFleet.serve_async` as a single batch, and the
   per-request answers are routed back to the awaiting callers' futures;
@@ -129,9 +135,11 @@ class RequestCoalescer:
     max_batch:
         Flush the pending window once it holds this many requests.
     max_delay_ms:
-        Flush the pending window this many milliseconds after its first
-        request arrived, even if it is not full — the latency bound a
-        lone request pays for the chance of being batched.
+        The longest a miss is held while earlier windows execute: a
+        pending window opened behind an executing one flushes this many
+        milliseconds after its first request arrived, even if no window
+        has finished and it is not full.  A window opened while none is
+        executing flushes at the end of the loop turn instead.
     executor:
         Optional :class:`~repro.executors.Executor` forwarded to
         ``serve_async`` (falls back to the async fleet's own).
@@ -167,7 +175,11 @@ class RequestCoalescer:
         self.max_delay_s = float(max_delay_ms) / 1e3
         self._executor = executor
         self._pending: List[_Waiter] = []
-        self._timer: Optional[asyncio.TimerHandle] = None
+        #: The scheduled flush of the pending window: end of the loop
+        #: turn (``call_soon``) when it opened on an idle coalescer, the
+        #: ``max_delay_ms`` bound (``call_later``) when it opened behind
+        #: an executing window.
+        self._flush_handle: Optional[asyncio.Handle] = None
         #: flight key -> future resolving to the point's rtt_quantile_s;
         #: present exactly while a window evaluating that key is in flight.
         self._inflight: Dict[_FlightKey, "asyncio.Future[float]"] = {}
@@ -246,8 +258,11 @@ class RequestCoalescer:
         self._pending.append((resolved, future))
         if len(self._pending) >= self.max_batch:
             self._flush()
-        elif self._timer is None:
-            self._timer = loop.call_later(self.max_delay_s, self._flush)
+        elif self._flush_handle is None:
+            if self._windows:
+                self._flush_handle = loop.call_later(self.max_delay_s, self._flush)
+            else:
+                self._flush_handle = loop.call_soon(self._flush)
         return await future
 
     async def _submit_admit(self, request: Request) -> AdmissionAnswer:
@@ -295,8 +310,9 @@ class RequestCoalescer:
     ) -> List[Union[Answer, AdmissionAnswer]]:
         """Submit several requests at once; answers come in input order.
 
-        The requests land in the same pending window (flushing it every
-        ``max_batch``), so a burst arriving together is stacked together.
+        The requests are submitted in the same loop turn, so they land in
+        the same pending window (flushing it every ``max_batch``): a
+        burst arriving together is stacked together.
         """
         return list(
             await asyncio.gather(*(self.submit(request) for request in requests))
@@ -307,9 +323,9 @@ class RequestCoalescer:
     # ------------------------------------------------------------------
     def _flush(self) -> None:
         """Flush the pending window into a serving task (synchronous)."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        if self._flush_handle is not None:
+            self._flush_handle.cancel()
+            self._flush_handle = None
         if not self._pending:
             return
         window, self._pending = self._pending, []
@@ -319,7 +335,7 @@ class RequestCoalescer:
         # Register this window's distinct keys as in flight *before* the
         # first await, so a submit racing with the flush attaches to the
         # evaluation instead of re-scheduling the point.
-        loop = asyncio.get_event_loop()
+        loop = asyncio.get_running_loop()
         owned: Dict[_FlightKey, "asyncio.Future[float]"] = {}
         for resolved, _ in window:
             key = _flight_key(resolved)
@@ -330,7 +346,12 @@ class RequestCoalescer:
                 owned[key] = value_future
         task = loop.create_task(self._run_window(window, owned))
         self._windows.add(task)
-        task.add_done_callback(self._windows.discard)
+        task.add_done_callback(self._window_done)
+
+    def _window_done(self, task: "asyncio.Task") -> None:
+        """A window finished: flush the misses held behind it."""
+        self._windows.discard(task)
+        self._flush()
 
     def _count_executor_failure(
         self, exc: ExecutorBrokenError, *, retrying: bool

@@ -10,10 +10,11 @@ framework) and exposes:
     One request record (the :meth:`repro.fleet.Request.from_dict`
     JSONL fields) in, one answer object out.  Requests are routed
     through the :class:`~repro.serve.RequestCoalescer`: an answer-cache
-    or certified-surface hit is answered at once, never windowed; misses
-    from concurrent connections arriving within the coalescing window
-    are served as one stacked batch, and identical in-flight misses are
-    evaluated once.
+    or certified-surface hit is answered at once, never windowed; a
+    miss on an idle daemon is served at once too, while misses from
+    concurrent connections arriving during an executing window are
+    served together as the next stacked batch, and identical in-flight
+    misses are evaluated once.
 
 ``POST /v1/admit``
     Admission control: one JSON record with an ``rtt_budget_ms`` (plus
@@ -161,8 +162,12 @@ class ServingDaemon:
         on (e.g. a :class:`~repro.executors.ParallelExecutor`); worker
         faults surface as one retried window, not an outage.
     max_batch / coalesce_ms:
-        The coalescing window: flush on this many gathered requests or
-        after this many milliseconds, whichever comes first.
+        The coalescing window (group commit): a miss arriving while no
+        window executes is flushed at the end of the loop turn, with
+        whatever else was read in that turn; misses arriving while a
+        window executes are held until one finishes, the pending window
+        holds ``max_batch`` requests, or ``coalesce_ms`` milliseconds
+        have passed since it opened, whichever comes first.
     max_inflight:
         Bound on concurrently-served windows per ``/v1/batch`` stream.
     warm_cache:

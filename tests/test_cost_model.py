@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.core.rtt import (
-    DEFAULT_PLAN_CHUNK,
     QUANTILE_METHODS,
     CostModel,
     compile_eval_plans,
@@ -22,6 +21,10 @@ from repro.errors import ParameterError
 from repro.executors import ParallelExecutor, SerialExecutor
 from repro.fleet import Fleet, Request
 from repro.scenarios import available_scenarios, get_scenario
+
+#: Models per plan of the paper-default signature under an unobserved
+#: cost model: the static split a plan layer without a cost model uses.
+PAPER_CHUNK = CostModel().chunk_size_for("inversion/K9")
 
 #: Labels the priors know about, spanning cheap and expensive signatures.
 LABELS = (
@@ -57,7 +60,7 @@ class TestCostModel:
         # The default target is calibrated so the paper-default
         # signature (inversion, K=9) chunks exactly like the legacy
         # static split — the refactor changes nothing until it learns.
-        assert CostModel().chunk_size_for("inversion/K9") == DEFAULT_PLAN_CHUNK
+        assert CostModel().chunk_size_for("inversion/K9") == 32
 
     def test_cheaper_signatures_pack_more_models(self):
         model = CostModel()
@@ -71,7 +74,7 @@ class TestCostModel:
         # 10 ms per model observed: far above any prior.
         model.observe("inversion/K9", models=10, exec_s=0.1)
         assert model.predict_model_cost_s("inversion/K9") == pytest.approx(0.01)
-        assert model.chunk_size_for("inversion/K9") < DEFAULT_PLAN_CHUNK
+        assert model.chunk_size_for("inversion/K9") < PAPER_CHUNK
 
     def test_chunk_size_is_clamped_to_sane_bounds(self):
         model = CostModel(target_plan_cost_s=1e-9)
@@ -135,9 +138,9 @@ class TestCompileEvalPlansPolicies:
         assert all(len(p.indices) <= expected for p in plans)
         assert len(plans) > 1
 
-    def test_default_plan_chunk_is_still_importable_and_default(self):
+    def test_default_split_is_the_unobserved_paper_chunk(self):
         plans = compile_eval_plans(self.MODELS, 0.99999)
-        assert max(len(p.indices) for p in plans) <= DEFAULT_PLAN_CHUNK
+        assert max(len(p.indices) for p in plans) <= PAPER_CHUNK
 
 
 class TestChunkingInvariance:

@@ -13,7 +13,7 @@ import pickle
 import pytest
 
 from repro.core.rtt import (
-    DEFAULT_PLAN_CHUNK,
+    CostModel,
     EvalPlan,
     PingTimeModel,
     compile_eval_plans,
@@ -83,7 +83,8 @@ class TestCompileEvalPlans:
         models = [get_scenario("paper-dsl").model_at_load(0.1 + 0.02 * i) for i in range(7)]
         plans = compile_eval_plans(models, PROBABILITY, chunk_size=3)
         assert [len(plan) for plan in plans] == [3, 3, 1]
-        assert all(len(p) <= DEFAULT_PLAN_CHUNK for p in compile_eval_plans(models, PROBABILITY))
+        paper_chunk = CostModel().chunk_size_for("inversion/K9")
+        assert all(len(p) <= paper_chunk for p in compile_eval_plans(models, PROBABILITY))
 
     def test_accepts_parameter_mappings(self):
         model = get_scenario("cable").model_at_load(0.5)

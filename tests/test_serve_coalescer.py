@@ -29,6 +29,30 @@ class _SlowExecutor(SerialExecutor):
         return await super().run_async(plans)
 
 
+class _GatedExecutor(SerialExecutor):
+    """Serial executor whose first execution waits for ``gate`` to be set."""
+
+    def __init__(self, gate):
+        self.gate = gate
+        self.runs = 0
+
+    async def run_async(self, plans):
+        self.runs += 1
+        if self.runs == 1:
+            await self.gate.wait()
+        return await super().run_async(plans)
+
+
+async def _until(condition, timeout_s=10.0):
+    """Yield to the loop until ``condition()`` holds."""
+
+    async def poll():
+        while not condition():
+            await asyncio.sleep(0.001)
+
+    await asyncio.wait_for(poll(), timeout_s)
+
+
 class _BreakOnceExecutor(SerialExecutor):
     """Raises ExecutorBrokenError on the first execution, then recovers."""
 
@@ -79,11 +103,13 @@ class TestWindowing:
         assert fleet.stats.coalesced_requests == 3
         assert fleet.stats.batches == 1
 
-    def test_flush_on_timeout(self):
+    def test_flush_at_end_of_turn(self):
         async def main():
             fleet = Fleet()
-            # The window never fills; only the delay timer can flush it.
-            coalescer = RequestCoalescer(fleet, max_batch=100, max_delay_ms=5.0)
+            # The window never fills and the delay is effectively
+            # infinite: with nothing executing, it flushes at the end of
+            # the turn both requests were submitted in.
+            coalescer = RequestCoalescer(fleet, max_batch=100, max_delay_ms=60_000)
             answers = await asyncio.gather(
                 *(coalescer.submit(r) for r in REQUESTS[:2])
             )
@@ -97,7 +123,8 @@ class TestWindowing:
     def test_oversized_burst_splits_into_full_windows(self):
         async def main():
             fleet = Fleet()
-            # Two windows flush on size; the rump rides the delay timer.
+            # Two windows flush on size; the rump is held behind them
+            # and flushes when the first one finishes.
             coalescer = RequestCoalescer(fleet, max_batch=2, max_delay_ms=5.0)
             requests = [
                 Request("ftth", downlink_load=round(0.30 + 0.01 * i, 3), tag=str(i))
@@ -108,9 +135,76 @@ class TestWindowing:
 
         fleet, answers = asyncio.run(main())
         assert [a.tag for a in answers] == ["0", "1", "2", "3", "4"]
-        # 5 requests at max_batch=2: two full windows plus the drained rump.
+        # 5 requests at max_batch=2: two full windows plus the held rump.
         assert fleet.stats.coalesced_batches == 3
         assert fleet.stats.coalesced_requests == 5
+
+    def test_lone_idle_miss_does_not_wait_for_the_delay(self):
+        async def main():
+            fleet = Fleet()
+            coalescer = RequestCoalescer(fleet, max_batch=100, max_delay_ms=60_000)
+            answer = await asyncio.wait_for(coalescer.submit(REQUESTS[0]), 10.0)
+            return fleet, answer
+
+        fleet, answer = asyncio.run(main())
+        assert answer.tag == "a"
+        assert fleet.stats.coalesced_batches == 1
+        assert fleet.stats.coalesced_requests == 1
+
+    def test_misses_held_behind_an_executing_window_share_one_window(self):
+        async def main():
+            fleet = Fleet()
+            executor = _GatedExecutor(asyncio.Event())
+            coalescer = RequestCoalescer(
+                fleet, max_batch=100, max_delay_ms=60_000, executor=executor
+            )
+            first = asyncio.ensure_future(coalescer.submit(REQUESTS[0]))
+            await _until(lambda: coalescer.inflight_windows == 1)
+            held = []
+            for request in REQUESTS[1:]:
+                held.append(asyncio.ensure_future(coalescer.submit(request)))
+                await asyncio.sleep(0.002)  # one arrival per loop turn
+            assert coalescer.pending == 2
+            assert coalescer.inflight_windows == 1
+            executor.gate.set()
+            answers = await asyncio.wait_for(asyncio.gather(first, *held), 10.0)
+            return fleet, executor, answers
+
+        fleet, executor, answers = asyncio.run(main())
+        assert [a.tag for a in answers] == ["a", "b", "c"]
+        # Window 1 carried the first miss; the two that arrived while it
+        # executed flushed together when it finished.
+        assert executor.runs == 2
+        assert fleet.stats.coalesced_batches == 2
+        assert fleet.stats.coalesced_requests == 3
+
+    def test_held_window_flushes_at_max_delay(self):
+        async def main():
+            loop = asyncio.get_running_loop()
+            fleet = Fleet()
+            executor = _GatedExecutor(asyncio.Event())
+            coalescer = RequestCoalescer(
+                fleet, max_batch=100, max_delay_ms=20.0, executor=executor
+            )
+            first = asyncio.ensure_future(coalescer.submit(REQUESTS[0]))
+            await _until(lambda: coalescer.inflight_windows == 1)
+            start = loop.time()
+            held = asyncio.ensure_future(coalescer.submit(REQUESTS[1]))
+            await asyncio.sleep(0)
+            assert coalescer.pending == 1  # held, not flushed this turn
+            answer = await asyncio.wait_for(held, 10.0)
+            waited_s = loop.time() - start
+            # Window 1 is still executing: only the delay bound flushed.
+            assert not first.done()
+            executor.gate.set()
+            await first
+            return fleet, executor, answer, waited_s
+
+        fleet, executor, answer, waited_s = asyncio.run(main())
+        assert answer.tag == "b"
+        assert waited_s >= 0.015
+        assert executor.runs == 2
+        assert fleet.stats.coalesced_batches == 2
 
     def test_answers_bit_identical_to_fleet_serve(self):
         reference = Fleet().serve(REQUESTS)

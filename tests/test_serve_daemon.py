@@ -358,6 +358,20 @@ class _SlowExecutor(SerialExecutor):
         return await super().run_async(plans)
 
 
+class _GatedExecutor(SerialExecutor):
+    """Serial executor whose first execution waits for ``gate`` to be set."""
+
+    def __init__(self, gate):
+        self.gate = gate
+        self.runs = 0
+
+    async def run_async(self, plans):
+        self.runs += 1
+        if self.runs == 1:
+            await self.gate.wait()
+        return await super().run_async(plans)
+
+
 class _BreakOnceExecutor(SerialExecutor):
     def __init__(self):
         self.runs = 0
@@ -519,31 +533,61 @@ class TestLifecycle:
 
 
 class TestCoalescingOverHttp:
-    def test_concurrent_connections_share_one_window(self):
+    def test_misses_arriving_during_a_window_share_the_next_one(self):
         async def main():
+            executor = _GatedExecutor(asyncio.Event())
             daemon = ServingDaemon(
-                port=0, coalesce_ms=25.0, max_batch=8,
-                executor=_SlowExecutor(delay_s=0.01),
+                port=0, coalesce_ms=60_000.0, max_batch=8, executor=executor
             )
             async with daemon:
+                coalescer = daemon.coalescer
+
                 async def one(record):
                     async with HttpClient(daemon.host, daemon.port) as client:
                         return await client.request_json(
                             "POST", "/v1/rtt", record
                         )
-                results = await asyncio.gather(
-                    one({"scenario": "ftth", "load": 0.40, "tag": "x"}),
-                    one({"scenario": "paper-dsl", "load": 0.30, "tag": "y"}),
-                    one({"scenario": "ftth", "load": 0.35, "tag": "z"}),
-                )
-                return daemon, results
 
-        daemon, results = asyncio.run(main())
+                async def until(condition):
+                    while not condition():
+                        await asyncio.sleep(0.001)
+
+                first = asyncio.ensure_future(
+                    one({"scenario": "ftth", "load": 0.40, "tag": "x"})
+                )
+                try:
+                    # An idle daemon flushes the lone miss at once; its
+                    # window then executes until the gate opens.
+                    await asyncio.wait_for(
+                        until(lambda: coalescer.inflight_windows == 1), 10.0
+                    )
+                    held = [
+                        asyncio.ensure_future(one(record))
+                        for record in (
+                            {"scenario": "paper-dsl", "load": 0.30, "tag": "y"},
+                            {"scenario": "ftth", "load": 0.35, "tag": "z"},
+                        )
+                    ]
+                    await asyncio.wait_for(
+                        until(lambda: coalescer.pending == 2), 10.0
+                    )
+                    assert coalescer.inflight_windows == 1
+                finally:
+                    executor.gate.set()  # never leave the drain hanging
+                results = await asyncio.wait_for(
+                    asyncio.gather(first, *held), 10.0
+                )
+                return daemon, executor, results
+
+        daemon, executor, results = asyncio.run(main())
         assert all(status == 200 for status, _, _ in results)
+        assert [payload["tag"] for _, _, payload in results] == ["x", "y", "z"]
         stats = daemon.fleet.stats
-        # All three arrived within the 25 ms window: one stacked batch.
-        assert stats.coalesced_batches == 1
-        assert stats.coalesced_requests + stats.deduped_inflight == 3
+        # Both misses that arrived while window 1 executed were held and
+        # flushed together as one stacked window when it finished.
+        assert executor.runs == 2
+        assert stats.coalesced_batches == 2
+        assert stats.coalesced_requests == 3
 
     def test_identical_concurrent_misses_single_flight(self):
         async def main():
