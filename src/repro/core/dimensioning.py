@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ParameterError
 from .inversion import Search, _brent
@@ -162,29 +162,38 @@ def capacity_search(
     that really maps to at least one gamer (the load<->gamer round trip
     can land one ulp short), and then capped at ``ceiling / 2``.
     Between floor and ceiling, Brent's method brackets the bound to
-    ``load_resolution``.  Like ``scipy.optimize.brentq``, it asks for the
-    floor and ceiling again, and the root it returns is a load it has
-    evaluated: the caller's cache answers those repeats.
+    ``load_resolution``.  Like ``scipy.optimize.brentq``, Brent asks for
+    the floor and ceiling again, and the root it returns is a load it has
+    evaluated; a search-local memo answers those repeats, so every load
+    is yielded once.
     """
+    asked: Dict[float, float] = {}
+
+    def rtt(load: float) -> Search[float]:
+        value = asked.get(load)
+        if value is None:
+            value = asked[load] = yield load
+        return value
+
     floor_load = max(scenario.load_for_gamers(1.0), 1e-4)
     while scenario.gamers_at_load(floor_load) < 1.0:
         floor_load = math.nextafter(floor_load, math.inf)
     floor_load = min(floor_load, ceiling / 2.0)
-    rtt_floor = yield floor_load
+    rtt_floor = yield from rtt(floor_load)
     if rtt_floor > rtt_bound_s:
         return None, rtt_floor
-    if (yield ceiling) <= rtt_bound_s:
+    if (yield from rtt(ceiling)) <= rtt_bound_s:
         best_load = ceiling
     else:
         brent = _brent(floor_load, ceiling, load_resolution)
         load = next(brent)
         while True:
             try:
-                load = brent.send((yield load) - rtt_bound_s)
+                load = brent.send((yield from rtt(load)) - rtt_bound_s)
             except StopIteration as stop:
                 best_load = float(stop.value)
                 break
-    return best_load, (yield best_load)
+    return best_load, (yield from rtt(best_load))
 
 
 def admission_search(

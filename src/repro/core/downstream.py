@@ -58,10 +58,14 @@ def solve_root(load: float, order: int, branch: int) -> complex:
     if order < 1:
         raise ParameterError("Erlang order must be >= 1")
     phase = 2.0j * math.pi * branch / order
+    exp, tolerance = cmath.exp, _ROOT_TOLERANCE
     z = 0.0 + 0.0j
-    for iteration in range(_MAX_ITERATIONS):
-        z_next = cmath.exp((z - 1.0) / load + phase)
-        if abs(z_next - z) <= _ROOT_TOLERANCE * max(1.0, abs(z_next)):
+    for _ in range(_MAX_ITERATIONS):
+        z_next = exp((z - 1.0) / load + phase)
+        # The relative step test ``tolerance * max(1, |z_next|)``; the
+        # roots lie inside the unit disc, so the scale is almost always 1.
+        scale = abs(z_next)
+        if abs(z_next - z) <= tolerance * (scale if scale > 1.0 else 1.0):
             return z_next
         z = z_next
     raise ConvergenceError(

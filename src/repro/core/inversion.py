@@ -53,6 +53,22 @@ remaining axis — the *transform* index — as well:
   point per still-active search — is served by a single stacked array
   evaluation.
 
+Compiled kernel (one model)
+---------------------------
+
+A single model's transform needs none of that dispatch.
+:class:`ProductTailKernel` is compiled once per model (cached as
+:attr:`repro.core.rtt.ComposedRttModel.tail_kernel`) from the atoms and
+term arrays of its three Erlang-term factors, and is the only route of
+a model's ``"inversion"`` tail and quantile: each tail writes the
+default abscissae into one complex array (module constants hold ``k pi``
+and ``exp(A/2)``), evaluates the three factor sums with the array
+shapes of the generic path, and one search runs under a single
+floating-point error state.  Its floats are those of
+:func:`tail_from_mgf` / :func:`quantile_from_mgf` on the product
+callable, which stay the generic API for arbitrary transforms and the
+test-suite's reference.
+
 Quantile searches
 -----------------
 
@@ -66,7 +82,9 @@ evaluations.  One round loop (:func:`_run_searches`) advances a batch of
 searches round by round and answers each round with one evaluation:
 :func:`quantile_from_mgf` is that loop with a batch of one and a
 :func:`tail_from_mgf` call per point, :func:`quantiles_from_mgfs` the
-same loop with one stacked evaluation per round.  Because the stacked
+same loop with one stacked evaluation per round;
+:meth:`ProductTailKernel.quantile` drives one search directly with
+:func:`drive`, without the round lists.  Because the stacked
 arithmetic is bit-identical per row to the per-transform path (same
 elementwise kernels, same reduction lengths, same weights), every
 search follows the exact trajectory of its scalar counterpart and
@@ -114,6 +132,7 @@ __all__ = [
     "tails_from_mgfs",
     "quantile_from_mgf",
     "quantiles_from_mgfs",
+    "ProductTailKernel",
 ]
 
 #: Joint evaluator protocol of the stacked API: called with a complex
@@ -129,6 +148,14 @@ _EULER_A = 18.4
 _EULER_N = 22
 #: Number of partial sums combined by Euler averaging.
 _EULER_M = 12
+#: Abscissae per inversion at the default parameters.
+_NUM_ABSCISSAE = _EULER_N + _EULER_M + 1
+#: ``k pi`` for every default abscissa index ``k`` (the numerators of
+#: the imaginary parts ``k pi / t``).
+_PI_K = math.pi * np.arange(_NUM_ABSCISSAE)
+_PI_K.flags.writeable = False
+#: ``exp(A/2)``, the numerator of the Euler prefactor ``exp(A/2) / (2t)``.
+_EXP_HALF_A = math.exp(_EULER_A / 2.0)
 
 #: Magnitudes ``|s| = 10**e`` probed by the bounded-limit estimate of the
 #: atom at zero.  The old unconditional probe at ``s = -1e12`` overflowed
@@ -177,13 +204,14 @@ def _abscissae(t: np.ndarray, a: float, num: int) -> np.ndarray:
     ``num`` (the abscissa index).
     """
     t = np.asarray(t, dtype=float)
-    k = np.arange(num)
-    # Real and imaginary parts are assembled in float arithmetic (the
-    # complex-division kernel rounds ``ik pi / t`` differently than the
-    # float division used by the scalar fallback's ``complex(...)``).
-    real = np.broadcast_to((a / (2.0 * t))[..., None], t.shape + (num,))
-    imag = (math.pi * k) / t[..., None]
-    return real + 1j * imag
+    # Real and imaginary parts are computed in float arithmetic and
+    # written in place (the complex-division kernel rounds ``ik pi / t``
+    # differently than the float division used by the scalar fallback's
+    # ``complex(...)``).
+    s = np.empty(t.shape + (num,), dtype=complex)
+    s.real = (a / (2.0 * t))[..., None]
+    s.imag = (_PI_K if num == _NUM_ABSCISSAE else math.pi * np.arange(num)) / t[..., None]
+    return s
 
 
 def _transform_real(
@@ -875,3 +903,86 @@ def quantiles_from_mgfs(
             "probability, scale_hints and atoms_at_zero must match the number of transforms"
         )
     return _run_searches(mgfs, probabilities, hints, atoms, tolerance, stack_eval)
+
+
+# ----------------------------------------------------------------------
+# The compiled kernel of one product of Erlang-term sums
+# ----------------------------------------------------------------------
+#: A factor of :class:`ProductTailKernel`: its atom and its terms'
+#: coefficients, rates and orders, as in
+#: :meth:`repro.core.mgf.ErlangTermSum.mgf`.
+Factor = Tuple[complex, np.ndarray, np.ndarray, np.ndarray]
+
+_WEIGHTS = _euler_weights(_EULER_N, _EULER_M)
+
+
+class ProductTailKernel:
+    """The tail and quantiles of one product transform, compiled once.
+
+    The transform is ``prod_f (a_f + sum_j c_fj (r_fj / (r_fj - s))**m_fj)``
+    — the shape of every RTT model's ``D_u(s) W(s) P(s)`` (eq. (35)).
+    The kernel holds each factor's atom and term arrays, with the orders
+    cast to complex once (and dropped for a factor whose orders are all
+    1: numpy's integer power returns its base unchanged), and inverts at
+    the default Euler parameters only.  Each tail evaluates the factors
+    on the abscissae in the order and with the array shapes of
+    ``ErlangTermSum.mgf`` under :func:`tail_from_mgf`, and clamps the
+    result the same way, so :meth:`tail` and :meth:`quantile` return the
+    floats of ``tail_from_mgf`` / ``quantile_from_mgf`` on the product
+    callable, without their per-tail dispatch.  The three factor sums
+    stay separate: summing one concatenated term array would change the
+    rounding.
+    """
+
+    def __init__(self, factors: Sequence[Factor], atom_at_zero: float) -> None:
+        self._factors: List[tuple] = []
+        for atom, coefficients, rates, orders in factors:
+            if coefficients.size == 0:
+                constant = np.full(_NUM_ABSCISSAE, atom, dtype=complex)
+                constant.flags.writeable = False
+                self._factors.append((constant, None, None, None))
+                continue
+            powers = None if np.all(orders == 1) else np.asarray(orders, dtype=complex)
+            self._factors.append((complex(atom), coefficients, rates, powers))
+        self._tail_at_zero = min(1.0, max(0.0, 1.0 - float(atom_at_zero)))
+
+    def _tail(self, x: float) -> float:
+        """``P(X > x)``; the caller holds the floating-point error state."""
+        if x < 0.0:
+            return 1.0
+        if not math.isfinite(x):
+            return 0.0
+        if x == 0.0:
+            return self._tail_at_zero
+        s = np.empty(_NUM_ABSCISSAE, dtype=complex)
+        s.real = _EULER_A / (2.0 * x)
+        s.imag = _PI_K / x
+        column = -s[:, None]
+        value = None
+        for atom, coefficients, rates, powers in self._factors:
+            if coefficients is None:
+                factor = atom
+            else:
+                ratio = rates / (rates - column)
+                if powers is not None:
+                    ratio = ratio**powers
+                factor = atom + np.add.reduce(coefficients * ratio, axis=-1)
+            value = factor if value is None else value * factor
+        real = ((1.0 - value) / s).real
+        total = float(np.add.reduce(real * _WEIGHTS))
+        return min(1.0, max(0.0, _EXP_HALF_A / (2.0 * x) * total))
+
+    def tail(self, x: float) -> float:
+        """``P(X > x)``, the float of :func:`tail_from_mgf`."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._tail(x)
+
+    def quantile(self, probability: float, scale_hint: float, tolerance: float = 1e-10) -> float:
+        """The ``probability`` quantile, the float of :func:`quantile_from_mgf`.
+
+        Drives one :func:`_quantile_search` directly on :meth:`_tail`,
+        under a single floating-point error state.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            search = _quantile_search(probability, float(scale_hint), tolerance)
+            return float(drive(search, self._tail))

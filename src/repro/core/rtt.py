@@ -44,11 +44,10 @@ from .downstream import (
     ServerFlow,
 )
 from .inversion import (
+    ProductTailKernel,
     _is_per_transform_grids,
     _per_model,
-    quantile_from_mgf,
     quantiles_from_mgfs,
-    tail_from_mgf,
     tails_from_mgf,
     tails_from_mgfs,
 )
@@ -230,7 +229,10 @@ class ComposedRttModel:
 
         Evaluating the product directly (without re-expanding it) is
         numerically stable at every load and is what the default
-        ``"inversion"`` quantile method operates on.  Accepts a scalar
+        ``"inversion"`` quantile method operates on (a model's own
+        tails and quantiles evaluate the same product through
+        :attr:`tail_kernel`; this callable serves the stacked and
+        generic inversion APIs).  Accepts a scalar
         or a complex ndarray (the Euler inversion evaluates all its
         abscissae in one array call).  Scalar input is routed through a
         one-element array so a scalar call returns the exact floats of
@@ -305,9 +307,25 @@ class ComposedRttModel:
         """Monte-Carlo samples of the in-burst packet-position delay."""
         return self.position_delay().sample_uniform(size, rng=rng)
 
+    @cached_property
+    def tail_kernel(self) -> ProductTailKernel:
+        """The product transform compiled for inversion, built once per model.
+
+        Holds the three factors' term arrays and the known atom; every
+        ``"inversion"`` tail and quantile of this model runs on it.
+        """
+        factors = (self._upstream_terms, self._burst_terms, self._position_terms)
+        return ProductTailKernel(
+            [(terms.atom, *terms._term_arrays()) for terms in factors], self.queueing_atom
+        )
+
     def queueing_tail(self, delay_s: float) -> float:
-        """``P(total queueing delay > delay_s)`` by transform inversion."""
-        return tail_from_mgf(self.queueing_mgf, delay_s, atom_at_zero=self.queueing_atom)
+        """``P(total queueing delay > delay_s)`` by transform inversion.
+
+        The float of ``tail_from_mgf(self.queueing_mgf, delay_s,
+        atom_at_zero=self.queueing_atom)``, computed by :attr:`tail_kernel`.
+        """
+        return self.tail_kernel.tail(delay_s)
 
     def queueing_tails(self, delays_s) -> "np.ndarray":
         """Batch :meth:`queueing_tail` over an array of delays.
@@ -322,14 +340,16 @@ class ComposedRttModel:
     def queueing_quantile(
         self, probability: float = DEFAULT_QUANTILE, method: str = "inversion"
     ) -> float:
-        """Quantile of the total queueing delay, in seconds."""
+        """Quantile of the total queueing delay, in seconds.
+
+        ``"inversion"`` runs one quantile search on :attr:`tail_kernel`
+        and returns the float of ``quantile_from_mgf(self.queueing_mgf,
+        probability, self._inversion_scale_hint,
+        atom_at_zero=self.queueing_atom)``; the other methods are listed
+        in :data:`QUANTILE_METHODS`.
+        """
         if method == "inversion":
-            return quantile_from_mgf(
-                self.queueing_mgf,
-                probability,
-                scale_hint=self._inversion_scale_hint,
-                atom_at_zero=self.queueing_atom,
-            )
+            return self.tail_kernel.quantile(probability, self._inversion_scale_hint)
         if method == "erlang-sum":
             return self.queueing_delay_erlang_sum.quantile(probability)
         if method == "dominant-pole":
@@ -1338,9 +1358,11 @@ def execute_plan(plan: EvalPlan) -> PlanResult:
     stacked lockstep search per factor-signature group (normally one —
     plans are compiled per group; the re-grouping is defensive), or the
     per-model fallback for methods without a batch formulation.  A
-    group of one search has nothing to stack with and runs the scalar
-    search.  The rebuilt models reproduce the originals' floats, which
-    is what makes the plan executor-agnostic.
+    group of one model has nothing to stack with: it builds no
+    :class:`QueueingMgfStack` and runs its search on the model's
+    compiled :attr:`~ComposedRttModel.tail_kernel`.  The rebuilt models
+    reproduce the originals' floats, which is what makes the plan
+    executor-agnostic.
     """
     started = time.perf_counter()
     models = plan.build_models()
@@ -1348,6 +1370,10 @@ def execute_plan(plan: EvalPlan) -> PlanResult:
     stacked_calls = 0
     if plan.method == "inversion":
         for indices in QueueingMgfStack.group_indices(models).values():
+            if len(indices) == 1:
+                [index] = indices
+                values[index] = models[index].rtt_quantile(plan.probabilities[index])
+                continue
             group = [models[i] for i in indices]
             stack = QueueingMgfStack(group)
             queueing = quantiles_from_mgfs(
@@ -1355,7 +1381,7 @@ def execute_plan(plan: EvalPlan) -> PlanResult:
                 [plan.probabilities[i] for i in indices],
                 scale_hints=stack.scale_hints(),
                 atoms_at_zero=stack.atoms_at_zero(),
-                stack_eval=stack if len(group) > 1 else None,
+                stack_eval=stack,
             )
             for index, model, value in zip(indices, group, queueing):
                 values[index] = model.deterministic_delay_s + value

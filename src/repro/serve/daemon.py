@@ -107,6 +107,12 @@ _MAX_BLANK_LINES = 16
 #: Upper bound on a non-streaming (``/v1/rtt``) body.
 _MAX_BODY_BYTES = 1 << 20
 
+#: Largest piece of a request body read at once, whatever its framing.
+_BODY_PIECE_BYTES = 1 << 16
+
+#: The characters of a chunk-size line's hex digits.
+_HEX_DIGITS = b"0123456789abcdefABCDEF"
+
 #: Upper bound on a ``/v1/plan`` frame body (worker mode); one frame
 #: header plus the wire protocol's own payload bound.
 _MAX_PLAN_BODY_BYTES = wire.HEADER_SIZE + wire.MAX_FRAME_BYTES
@@ -460,21 +466,30 @@ class ServingDaemon:
     async def _iter_body(
         reader: asyncio.StreamReader, headers: Mapping[str, str]
     ) -> AsyncIterator[bytes]:
-        """Yield the request body incrementally (Content-Length or chunked)."""
+        """Yield the request body incrementally (Content-Length or chunked).
+
+        Either way the body arrives in pieces of at most
+        :data:`_BODY_PIECE_BYTES`, so a capped reader sees the cap crossed
+        before a large declared chunk is buffered whole.
+        """
         if "chunked" in headers.get("transfer-encoding", "").lower():
             while True:
                 size_line = await reader.readline()
-                try:
-                    size = int(size_line.split(b";")[0].strip(), 16)
-                except ValueError as exc:
-                    raise _HttpError(400, "malformed chunk size") from exc
+                digits = size_line.split(b";")[0].strip()
+                # RFC 9112 chunk-size is 1*HEXDIG: no sign, prefix or "_".
+                if not digits or digits.strip(_HEX_DIGITS):
+                    raise _HttpError(400, "malformed chunk size")
+                size = int(digits, 16)
                 if size == 0:
                     while True:  # discard trailers
                         line = await reader.readline()
                         if line in (b"\r\n", b"\n", b""):
                             break
                     return
-                yield await reader.readexactly(size)
+                while size > 0:
+                    piece = await reader.readexactly(min(_BODY_PIECE_BYTES, size))
+                    size -= len(piece)
+                    yield piece
                 await reader.readexactly(2)  # the chunk's trailing CRLF
             return
         length_header = headers.get("content-length")
@@ -485,7 +500,7 @@ class ServingDaemon:
         except ValueError as exc:
             raise _HttpError(400, "malformed Content-Length") from exc
         while remaining > 0:
-            chunk = await reader.read(min(65536, remaining))
+            chunk = await reader.read(min(_BODY_PIECE_BYTES, remaining))
             if not chunk:
                 raise asyncio.IncompleteReadError(b"", remaining)
             remaining -= len(chunk)

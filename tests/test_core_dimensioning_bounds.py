@@ -3,8 +3,10 @@
 import pytest
 
 from repro.core import DeterministicRttBound, PingTimeModel, max_gamers, max_tolerable_load
-from repro.core.dimensioning import gamers_for_load, load_for_gamers
+from repro.core.dimensioning import capacity_search, gamers_for_load, load_for_gamers
+from repro.core.inversion import drive
 from repro.errors import ParameterError
+from repro.scenarios import get_scenario
 
 
 def scenario_kwargs(erlang_order=9, tick=0.040, server_bytes=125.0):
@@ -86,6 +88,30 @@ class TestMaxTolerableLoad:
         result = max_tolerable_load(0.050, **scenario_kwargs())
         assert result.rtt_bound_ms == pytest.approx(50.0)
         assert result.rtt_at_max_load_ms == pytest.approx(1e3 * result.rtt_at_max_load_s)
+
+
+class TestCapacitySearch:
+    @pytest.mark.parametrize("budget_s", [1e-4, 0.030, 0.050, 0.080, 1.0])
+    def test_every_load_is_asked_once(self, budget_s):
+        # Brent asks for the floor and the ceiling again and returns a
+        # load it has evaluated; the search answers those repeats itself.
+        scenario = get_scenario("paper-dsl")
+        asked = []
+
+        def rtt_at(load):
+            asked.append(load)
+            return scenario.model_at_load(load).rtt_quantile(0.99999)
+
+        ceiling = scenario.stable_load_ceiling(0.98)
+        best_load, rtt_at_best = drive(
+            capacity_search(scenario, budget_s, ceiling, 1e-3), rtt_at
+        )
+        assert len(asked) == len(set(asked))
+        if best_load is None:
+            assert asked == [asked[0]] and rtt_at_best > budget_s
+        else:
+            assert best_load in asked
+            assert rtt_at_best == scenario.model_at_load(best_load).rtt_quantile(0.99999)
 
 
 class TestDeterministicBound:

@@ -217,13 +217,15 @@ class TestDimension:
 
     def test_optimum_read_from_cache_not_rebuilt(self):
         # The seed evaluated _rtt_at_load(best_load) a second time after
-        # brentq had already evaluated it; the search reads it from the
-        # fleet cache instead.
+        # brentq had already evaluated it; the search answers that
+        # repeat (and Brent's floor and ceiling repeats) from its own
+        # memo, so no load is ever asked of the fleet twice.
         engine = Engine(TICK40)
         reset_model_build_count()
         result = engine.dimension(0.050)
         stats = engine.fleet.stats
-        assert stats.cache_hits >= 1
+        assert stats.cache_hits == 0
+        assert stats.requests == 1 + stats.cache_misses
         assert model_build_count() == stats.evaluations == stats.cache_misses
         assert result.rtt_at_max_load_s <= 0.050 * 1.02
 

@@ -12,6 +12,7 @@ import pickle
 
 import pytest
 
+from repro.core import rtt
 from repro.core.rtt import (
     CostModel,
     EvalPlan,
@@ -132,12 +133,24 @@ class TestExecutePlan:
             assert result.stacked_mgf_calls > 0
             assert result.worker_pid == os.getpid()
 
-    def test_a_single_search_runs_the_scalar_path(self):
+    def test_a_single_search_runs_the_scalar_path(self, monkeypatch):
+        stacks = []
+
+        class CountingStack(rtt.QueueingMgfStack):
+            def __init__(self, models):
+                stacks.append(len(models))
+                super().__init__(models)
+
+        monkeypatch.setattr(rtt, "QueueingMgfStack", CountingStack)
         model = get_scenario("ftth").model_at_load(0.4)
         [plan] = compile_eval_plans([model], PROBABILITY)
         result = execute_plan(plan)
         assert result.values == (model.rtt_quantile(PROBABILITY),)
         assert result.stacked_mgf_calls == 0
+        # A one-model group runs on the model's compiled kernel: no stack.
+        assert stacks == []
+        execute_plan(compile_eval_plans(_models(), PROBABILITY)[0])
+        assert stacks and min(stacks) > 1
 
     def test_fallback_methods_run_per_model(self):
         models = _models(loads=(0.5,))

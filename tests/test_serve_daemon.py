@@ -124,6 +124,19 @@ class HttpClient:
         return await self.reader.read(1) == b""
 
 
+async def _within(client, awaitable, timeout_s=3.0):
+    """``await awaitable``, failing after ``timeout_s`` instead of hanging.
+
+    On a timeout the connection is aborted, so a daemon still waiting
+    for the rest of a body is released and the test fails cleanly.
+    """
+    try:
+        return await asyncio.wait_for(awaitable, timeout_s)
+    except asyncio.TimeoutError:
+        client.writer.transport.abort()
+        raise
+
+
 def run_with_daemon(test, **daemon_kwargs):
     """Run ``await test(daemon, client)`` against a live ephemeral daemon."""
 
@@ -347,6 +360,56 @@ class TestErrorResponses:
         assert "blank lines" in json.loads(raw)["error"]
         assert closed
         assert daemon.http_errors == 1
+
+    @pytest.mark.parametrize("size", [b"-5", b"0x5", b"+5", b"1_0", b"5 5"])
+    def test_a_signed_or_non_hex_chunk_size_is_a_counted_400(self, size):
+        async def scenario(daemon, client):
+            await client.send_head(
+                "POST", "/v1/rtt", [("Transfer-Encoding", "chunked")]
+            )
+            client.writer.write(size + b"\r\nhello\r\n0\r\n\r\n")
+            await client.writer.drain()
+            status, _, raw = await _within(client, client.read_response())
+            return daemon, status, json.loads(raw)
+
+        daemon, status, payload = run_with_daemon(scenario)
+        assert status == 400
+        assert payload["error"] == "malformed chunk size"
+        assert daemon.http_errors == 1
+
+    def test_an_oversized_chunk_is_refused_before_it_is_buffered(self):
+        # The chunk declares 64 MiB and 2 MiB of it arrive: the 1 MiB
+        # /v1/rtt cap is crossed within the first pieces, so the 413
+        # comes at once instead of after the rest of the chunk.
+        async def scenario(daemon, client):
+            await client.send_head(
+                "POST", "/v1/rtt", [("Transfer-Encoding", "chunked")]
+            )
+            client.writer.write(f"{64 << 20:x}\r\n".encode() + b"x" * (2 << 20))
+            response = asyncio.ensure_future(client.read_response())
+            try:
+                await client.writer.drain()
+            except ConnectionError:
+                pass  # the daemon may close before the 2 MiB are sent
+            status, _, raw = await _within(client, response)
+            return daemon, status, json.loads(raw)
+
+        daemon, status, payload = run_with_daemon(scenario)
+        assert status == 413
+        assert "too large" in payload["error"]
+        assert daemon.http_errors == 1
+
+    def test_chunked_bodies_are_read_in_bounded_pieces(self):
+        async def main():
+            reader = asyncio.StreamReader(limit=1 << 24)
+            reader.feed_data(f"{300_000:x}\r\n".encode() + b"y" * 300_000 + b"\r\n0\r\n\r\n")
+            reader.feed_eof()
+            headers = {"transfer-encoding": "chunked"}
+            return [piece async for piece in ServingDaemon._iter_body(reader, headers)]
+
+        pieces = asyncio.run(main())
+        assert b"".join(pieces) == b"y" * 300_000
+        assert max(len(piece) for piece in pieces) <= 1 << 16
 
 
 class _SlowExecutor(SerialExecutor):
