@@ -9,8 +9,9 @@ into one complex array and invokes the MGF once per tail evaluation.
 
 A model's own quantile no longer goes through the callable at all: it
 runs on the model's compiled product kernel
-(:class:`~repro.core.inversion.ProductTailKernel`), which evaluates the
-three factor sums directly.
+(``ComposedRttModel.tail_kernel``), which inverts the product directly,
+without the generic route's per-tail dispatch (closure, scalar-fallback
+checks, an error-state context per tail, lockstep round lists).
 
 Acceptance criteria asserted here:
 

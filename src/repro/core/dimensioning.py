@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ParameterError
-from .inversion import Search, _brent
+from .inversion import Search, _brent, _memoized
 from .rtt import DEFAULT_QUANTILE
 
 __all__ = [
@@ -168,32 +168,25 @@ def capacity_search(
     is yielded once.
     """
     asked: Dict[float, float] = {}
-
-    def rtt(load: float) -> Search[float]:
-        value = asked.get(load)
-        if value is None:
-            value = asked[load] = yield load
-        return value
-
     floor_load = max(scenario.load_for_gamers(1.0), 1e-4)
     while scenario.gamers_at_load(floor_load) < 1.0:
         floor_load = math.nextafter(floor_load, math.inf)
     floor_load = min(floor_load, ceiling / 2.0)
-    rtt_floor = yield from rtt(floor_load)
+    rtt_floor = yield from _memoized(asked, floor_load)
     if rtt_floor > rtt_bound_s:
         return None, rtt_floor
-    if (yield from rtt(ceiling)) <= rtt_bound_s:
+    if (yield from _memoized(asked, ceiling)) <= rtt_bound_s:
         best_load = ceiling
     else:
         brent = _brent(floor_load, ceiling, load_resolution)
         load = next(brent)
         while True:
             try:
-                load = brent.send((yield from rtt(load)) - rtt_bound_s)
+                load = brent.send((yield from _memoized(asked, load)) - rtt_bound_s)
             except StopIteration as stop:
                 best_load = float(stop.value)
                 break
-    return best_load, (yield from rtt(best_load))
+    return best_load, (yield from _memoized(asked, best_load))
 
 
 def admission_search(

@@ -57,14 +57,14 @@ Compiled kernel (one model)
 ---------------------------
 
 A single model's transform needs none of that dispatch.
-:class:`ProductTailKernel` is compiled once per model (cached as
-:attr:`repro.core.rtt.ComposedRttModel.tail_kernel`) from the atoms and
-term arrays of its three Erlang-term factors, and is the only route of
-a model's ``"inversion"`` tail and quantile: each tail writes the
-default abscissae into one complex array (module constants hold ``k pi``
-and ``exp(A/2)``), evaluates the three factor sums with the array
-shapes of the generic path, and one search runs under a single
-floating-point error state.  Its floats are those of
+:class:`_ProductTailKernel` is compiled once per model (cached as
+:attr:`repro.core.rtt.ComposedRttModel.tail_kernel`) from its three
+Erlang-term factors and is the model's one evaluator of its product
+transform, and the only route of its ``"inversion"`` tail and quantile:
+each tail writes the default abscissae into one complex array (module
+constants hold ``k pi`` and ``exp(A/2)``), evaluates the three factor
+sums with :func:`repro.core.mgf._erlang_sum`, and one search runs under
+a single floating-point error state.  Its floats are those of
 :func:`tail_from_mgf` / :func:`quantile_from_mgf` on the product
 callable, which stay the generic API for arbitrary transforms and the
 test-suite's reference.
@@ -83,7 +83,7 @@ searches round by round and answers each round with one evaluation:
 :func:`quantile_from_mgf` is that loop with a batch of one and a
 :func:`tail_from_mgf` call per point, :func:`quantiles_from_mgfs` the
 same loop with one stacked evaluation per round;
-:meth:`ProductTailKernel.quantile` drives one search directly with
+:meth:`_ProductTailKernel.quantile` drives one search directly with
 :func:`drive`, without the round lists.  Because the stacked
 arithmetic is bit-identical per row to the per-transform path (same
 elementwise kernels, same reduction lengths, same weights), every
@@ -124,6 +124,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tup
 import numpy as np
 
 from ..errors import ParameterError
+from .mgf import ErlangTermSum, _erlang_sum
 
 __all__ = [
     "euler_laplace_inversion",
@@ -132,7 +133,6 @@ __all__ = [
     "tails_from_mgfs",
     "quantile_from_mgf",
     "quantiles_from_mgfs",
-    "ProductTailKernel",
 ]
 
 #: Joint evaluator protocol of the stacked API: called with a complex
@@ -148,14 +148,8 @@ _EULER_A = 18.4
 _EULER_N = 22
 #: Number of partial sums combined by Euler averaging.
 _EULER_M = 12
-#: Abscissae per inversion at the default parameters.
-_NUM_ABSCISSAE = _EULER_N + _EULER_M + 1
-#: ``k pi`` for every default abscissa index ``k`` (the numerators of
-#: the imaginary parts ``k pi / t``).
-_PI_K = math.pi * np.arange(_NUM_ABSCISSAE)
-_PI_K.flags.writeable = False
-#: ``exp(A/2)``, the numerator of the Euler prefactor ``exp(A/2) / (2t)``.
-_EXP_HALF_A = math.exp(_EULER_A / 2.0)
+#: Absolute tolerance of every quantile search by default.
+_QUANTILE_TOLERANCE = 1e-10
 
 #: Magnitudes ``|s| = 10**e`` probed by the bounded-limit estimate of the
 #: atom at zero.  The old unconditional probe at ``s = -1e12`` overflowed
@@ -210,7 +204,7 @@ def _abscissae(t: np.ndarray, a: float, num: int) -> np.ndarray:
     # ``complex(...)``).
     s = np.empty(t.shape + (num,), dtype=complex)
     s.real = (a / (2.0 * t))[..., None]
-    s.imag = (_PI_K if num == _NUM_ABSCISSAE else math.pi * np.arange(num)) / t[..., None]
+    s.imag = (math.pi * np.arange(num)) / t[..., None]
     return s
 
 
@@ -632,6 +626,18 @@ def drive(search: Search[T], evaluate: Callable[[Any], Any]) -> T:
         return stop.value
 
 
+def _memoized(memo: Dict[Any, Any], point: Any) -> Search[Any]:
+    """Yield ``point`` unless ``memo`` answers it; return its value.
+
+    Used with ``yield from`` inside a search, so the search asks for
+    every distinct point once however often its logic needs the value.
+    """
+    value = memo.get(point)
+    if value is None:
+        value = memo[point] = yield point
+    return value
+
+
 def lockstep(
     searches: Sequence[Search[Any]], query: Callable[[int, Any], Any]
 ) -> Search[List[Any]]:
@@ -761,19 +767,12 @@ def _quantile_search(probability: float, scale_hint: float, tolerance: float) ->
         raise ParameterError("scale_hint must be positive")
     target = 1.0 - probability
     memo: Dict[float, float] = {}
-
-    def tail(x: float) -> Search:
-        value = memo.get(x)
-        if value is None:
-            value = memo[x] = yield x
-        return value
-
-    if (yield from tail(0.0)) <= target:
+    if (yield from _memoized(memo, 0.0)) <= target:
         return 0.0
     lower = 0.0
     upper = scale_hint
     for _ in range(200):
-        if (yield from tail(upper)) < target:
+        if (yield from _memoized(memo, upper)) < target:
             break
         lower = upper
         upper *= 2.0
@@ -782,7 +781,7 @@ def _quantile_search(probability: float, scale_hint: float, tolerance: float) ->
     brent = _brent(lower, upper, tolerance)
     x = next(brent)
     while True:
-        fx = (yield from tail(x)) - target
+        fx = (yield from _memoized(memo, x)) - target
         try:
             x = brent.send(fx)
         except StopIteration as stop:
@@ -842,7 +841,7 @@ def quantile_from_mgf(
     mgf: Callable[[complex], complex],
     probability: float,
     scale_hint: float,
-    tolerance: float = 1e-10,
+    tolerance: float = _QUANTILE_TOLERANCE,
     atom_at_zero: Optional[float] = None,
 ) -> float:
     """Quantile of a non-negative random variable from its MGF.
@@ -878,7 +877,7 @@ def quantiles_from_mgfs(
     probability: Union[float, Sequence[float]],
     scale_hints: Union[float, Sequence[float]],
     atoms_at_zero: Optional[Sequence[Optional[float]]] = None,
-    tolerance: float = 1e-10,
+    tolerance: float = _QUANTILE_TOLERANCE,
     *,
     stack_eval: Optional[StackEval] = None,
 ) -> List[float]:
@@ -908,43 +907,41 @@ def quantiles_from_mgfs(
 # ----------------------------------------------------------------------
 # The compiled kernel of one product of Erlang-term sums
 # ----------------------------------------------------------------------
-#: A factor of :class:`ProductTailKernel`: its atom and its terms'
-#: coefficients, rates and orders, as in
-#: :meth:`repro.core.mgf.ErlangTermSum.mgf`.
-Factor = Tuple[complex, np.ndarray, np.ndarray, np.ndarray]
-
+_NUM_ABSCISSAE = _EULER_N + _EULER_M + 1
+#: ``k pi`` for every default abscissa index ``k`` (the numerators of
+#: the imaginary parts ``k pi / t``), as :func:`_abscissae` computes them.
+_PI_K = math.pi * np.arange(_NUM_ABSCISSAE)
+_PI_K.flags.writeable = False
+#: ``exp(A/2)``, the numerator of the Euler prefactor ``exp(A/2) / (2t)``.
+_EXP_HALF_A = math.exp(_EULER_A / 2.0)
 _WEIGHTS = _euler_weights(_EULER_N, _EULER_M)
 
 
-class ProductTailKernel:
-    """The tail and quantiles of one product transform, compiled once.
+class _ProductTailKernel:
+    """The transform, tail and quantiles of one product of Erlang-term sums.
 
     The transform is ``prod_f (a_f + sum_j c_fj (r_fj / (r_fj - s))**m_fj)``
     — the shape of every RTT model's ``D_u(s) W(s) P(s)`` (eq. (35)).
-    The kernel holds each factor's atom and term arrays, with the orders
-    cast to complex once (and dropped for a factor whose orders are all
-    1: numpy's integer power returns its base unchanged), and inverts at
-    the default Euler parameters only.  Each tail evaluates the factors
-    on the abscissae in the order and with the array shapes of
-    ``ErlangTermSum.mgf`` under :func:`tail_from_mgf`, and clamps the
-    result the same way, so :meth:`tail` and :meth:`quantile` return the
-    floats of ``tail_from_mgf`` / ``quantile_from_mgf`` on the product
-    callable, without their per-tail dispatch.  The three factor sums
-    stay separate: summing one concatenated term array would change the
-    rounding.
+    The kernel holds each factor's atom and cached term arrays, and
+    inverts at the default Euler parameters only, on the abscissae and
+    with the clamps of :func:`tail_from_mgf`, so :meth:`tail` and
+    :meth:`quantile` return the floats of ``tail_from_mgf`` /
+    ``quantile_from_mgf`` on :meth:`mgf`, without their per-tail
+    dispatch.  The factor sums stay separate: summing one concatenated
+    term array would change the rounding.
     """
 
-    def __init__(self, factors: Sequence[Factor], atom_at_zero: float) -> None:
-        self._factors: List[tuple] = []
-        for atom, coefficients, rates, orders in factors:
-            if coefficients.size == 0:
-                constant = np.full(_NUM_ABSCISSAE, atom, dtype=complex)
-                constant.flags.writeable = False
-                self._factors.append((constant, None, None, None))
-                continue
-            powers = None if np.all(orders == 1) else np.asarray(orders, dtype=complex)
-            self._factors.append((complex(atom), coefficients, rates, powers))
+    def __init__(self, factors: Sequence[ErlangTermSum], atom_at_zero: float) -> None:
+        self._factors = [(factor.atom, *factor._term_arrays()) for factor in factors]
         self._tail_at_zero = min(1.0, max(0.0, 1.0 - float(atom_at_zero)))
+
+    def mgf(self, s: np.ndarray) -> np.ndarray:
+        """The product transform at every element of the complex array ``s``."""
+        value = None
+        for factor in self._factors:
+            values = _erlang_sum(*factor, s)
+            value = values if value is None else value * values
+        return value
 
     def _tail(self, x: float) -> float:
         """``P(X > x)``; the caller holds the floating-point error state."""
@@ -957,18 +954,7 @@ class ProductTailKernel:
         s = np.empty(_NUM_ABSCISSAE, dtype=complex)
         s.real = _EULER_A / (2.0 * x)
         s.imag = _PI_K / x
-        column = -s[:, None]
-        value = None
-        for atom, coefficients, rates, powers in self._factors:
-            if coefficients is None:
-                factor = atom
-            else:
-                ratio = rates / (rates - column)
-                if powers is not None:
-                    ratio = ratio**powers
-                factor = atom + np.add.reduce(coefficients * ratio, axis=-1)
-            value = factor if value is None else value * factor
-        real = ((1.0 - value) / s).real
+        real = ((1.0 - self.mgf(-s)) / s).real
         total = float(np.add.reduce(real * _WEIGHTS))
         return min(1.0, max(0.0, _EXP_HALF_A / (2.0 * x) * total))
 
@@ -977,12 +963,12 @@ class ProductTailKernel:
         with np.errstate(over="ignore", invalid="ignore"):
             return self._tail(x)
 
-    def quantile(self, probability: float, scale_hint: float, tolerance: float = 1e-10) -> float:
+    def quantile(self, probability: float, scale_hint: float) -> float:
         """The ``probability`` quantile, the float of :func:`quantile_from_mgf`.
 
         Drives one :func:`_quantile_search` directly on :meth:`_tail`,
         under a single floating-point error state.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            search = _quantile_search(probability, float(scale_hint), tolerance)
+            search = _quantile_search(probability, float(scale_hint), _QUANTILE_TOLERANCE)
             return float(drive(search, self._tail))

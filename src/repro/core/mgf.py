@@ -101,6 +101,35 @@ class ErlangTerm:
         return self.coefficient * self.order * (self.order + 1) / self.rate**2
 
 
+def _erlang_powers(orders: np.ndarray) -> Optional[np.ndarray]:
+    """Erlang orders as the complex exponents of :func:`_erlang_sum`.
+
+    ``None`` when every order is 1: numpy's complex power returns its
+    base unchanged for an exponent of 1, so the power is skipped.
+    """
+    return None if np.all(orders == 1) else orders.astype(complex)
+
+
+def _erlang_sum(
+    atom, coefficients: np.ndarray, rates: np.ndarray, powers: Optional[np.ndarray], s: np.ndarray
+) -> np.ndarray:
+    """``atom + sum_j c_j (r_j / (r_j - s))**m_j`` at every element of ``s``.
+
+    The term arrays carry the term index on their last axis and
+    broadcast against ``s[..., None]``; ``powers`` comes from
+    :func:`_erlang_powers`.  The one evaluation of Erlang-term sums:
+    :meth:`ErlangTermSum.mgf`, a model's compiled product kernel and the
+    stacked evaluator of many models all run it, so they agree bit for
+    bit.
+    """
+    if coefficients.size == 0:
+        return np.full(s.shape, atom, dtype=complex)
+    ratio = rates / (rates - s[..., None])
+    if powers is not None:
+        ratio = ratio**powers
+    return atom + np.add.reduce(coefficients * ratio, axis=-1)
+
+
 class ErlangTermSum:
     """A (defective or proper) distribution written as atom + Erlang terms."""
 
@@ -109,7 +138,7 @@ class ErlangTermSum:
         self.terms: List[ErlangTerm] = [
             t for t in terms if abs(t.coefficient) > _COEFFICIENT_FLOOR
         ]
-        self._mgf_arrays: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._mgf_arrays: Optional[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]] = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -152,13 +181,16 @@ class ErlangTermSum:
         """Probability mass at zero (e.g. the probability of no queueing)."""
         return float(self.atom.real)
 
-    def _term_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(coefficients, rates, orders) as ndarrays, built once per sum."""
+    def _term_arrays(self) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """(coefficients, rates, powers) as ndarrays, built once per sum.
+
+        ``powers`` are the orders cast to complex, see :func:`_erlang_powers`.
+        """
         if self._mgf_arrays is None:
             self._mgf_arrays = (
                 np.array([t.coefficient for t in self.terms], dtype=complex),
                 np.array([t.rate for t in self.terms], dtype=complex),
-                np.array([t.order for t in self.terms], dtype=float),
+                _erlang_powers(np.array([t.order for t in self.terms], dtype=float)),
             )
         return self._mgf_arrays
 
@@ -174,17 +206,9 @@ class ErlangTermSum:
         inversion relies on that to make its scalar fallback agree with
         the batched path.
         """
-        coefficients, rates, orders = self._term_arrays()
         if isinstance(s, np.ndarray):
-            s = np.asarray(s, dtype=complex)
-            if coefficients.size == 0:
-                return np.full(s.shape, self.atom, dtype=complex)
-            values = coefficients * (rates / (rates - s[..., None])) ** orders
-            return self.atom + values.sum(axis=-1)
-        if coefficients.size == 0:
-            return self.atom
-        values = coefficients * (rates / (rates - complex(s))) ** orders
-        return complex(self.atom + values.sum())
+            return _erlang_sum(self.atom, *self._term_arrays(), np.asarray(s, dtype=complex))
+        return complex(_erlang_sum(self.atom, *self._term_arrays(), np.asarray(complex(s))))
 
     def mean(self) -> float:
         """First moment of the distribution."""

@@ -44,14 +44,14 @@ from .downstream import (
     ServerFlow,
 )
 from .inversion import (
-    ProductTailKernel,
     _is_per_transform_grids,
+    _ProductTailKernel,
     _per_model,
     quantiles_from_mgfs,
     tails_from_mgf,
     tails_from_mgfs,
 )
-from .mgf import ErlangTerm, ErlangTermSum
+from .mgf import ErlangTerm, ErlangTermSum, _erlang_powers, _erlang_sum
 from .upstream import MD1Queue, MultiClassMG1Queue, TrafficClass
 
 __all__ = [
@@ -229,10 +229,9 @@ class ComposedRttModel:
 
         Evaluating the product directly (without re-expanding it) is
         numerically stable at every load and is what the default
-        ``"inversion"`` quantile method operates on (a model's own
-        tails and quantiles evaluate the same product through
-        :attr:`tail_kernel`; this callable serves the stacked and
-        generic inversion APIs).  Accepts a scalar
+        ``"inversion"`` quantile method operates on; the product is
+        evaluated by :attr:`tail_kernel`, which also runs the model's
+        own inversion tails and quantiles.  Accepts a scalar
         or a complex ndarray (the Euler inversion evaluates all its
         abscissae in one array call).  Scalar input is routed through a
         one-element array so a scalar call returns the exact floats of
@@ -241,11 +240,7 @@ class ComposedRttModel:
         """
         if not isinstance(s, np.ndarray):
             return complex(self.queueing_mgf(np.asarray(s, dtype=complex).reshape(1))[0])
-        return (
-            self._upstream_terms.mgf(s)
-            * self._burst_terms.mgf(s)
-            * self._position_terms.mgf(s)
-        )
+        return self.tail_kernel.mgf(np.asarray(s, dtype=complex))
 
     @property
     def queueing_atom(self) -> float:
@@ -308,16 +303,15 @@ class ComposedRttModel:
         return self.position_delay().sample_uniform(size, rng=rng)
 
     @cached_property
-    def tail_kernel(self) -> ProductTailKernel:
+    def tail_kernel(self) -> _ProductTailKernel:
         """The product transform compiled for inversion, built once per model.
 
-        Holds the three factors' term arrays and the known atom; every
-        ``"inversion"`` tail and quantile of this model runs on it.
+        Holds the three factors' term arrays and the known atom;
+        :meth:`queueing_mgf` and every ``"inversion"`` tail and quantile
+        of this model run on it.
         """
         factors = (self._upstream_terms, self._burst_terms, self._position_terms)
-        return ProductTailKernel(
-            [(terms.atom, *terms._term_arrays()) for terms in factors], self.queueing_atom
-        )
+        return _ProductTailKernel(factors, self.queueing_atom)
 
     def queueing_tail(self, delay_s: float) -> float:
         """``P(total queueing delay > delay_s)`` by transform inversion.
@@ -897,9 +891,9 @@ class QueueingMgfStack:
     abscissa array in **one** numpy pass: the term coefficients, rates
     and orders of every model are laid out as ``(models, terms)``
     arrays per factor, each abscissa row is routed to its model's terms
-    with an index take, and the three factor sums are reduced and
-    multiplied exactly like :meth:`ErlangTermSum.mgf` and
-    :meth:`PingTimeModel.queueing_mgf` do per model.
+    with an index take, and the three factor sums are reduced by
+    :func:`repro.core.mgf._erlang_sum` and multiplied exactly as
+    :meth:`PingTimeModel.queueing_mgf` does per model.
 
     The only requirement is that the stacked models share a *factor
     signature* — the per-factor term counts — so the term axis is
@@ -928,7 +922,7 @@ class QueueingMgfStack:
             rates = np.array([[t.rate for t in s.terms] for s in sums], dtype=complex)
             orders = np.array([[t.order for t in s.terms] for s in sums], dtype=float)
             atoms = np.array([s.atom for s in sums], dtype=complex)
-            self._factors.append((coefficients, rates, orders, atoms))
+            self._factors.append((coefficients, rates, _erlang_powers(orders), atoms))
         self.array_calls = 0
 
     #: The factor order must match PingTimeModel.queueing_mgf's product.
@@ -956,16 +950,14 @@ class QueueingMgfStack:
         _STACKED_EVALS += 1
         self.array_calls += 1
         value: Optional[np.ndarray] = None
-        for coefficients, rates, orders, atoms in self._factors:
-            if coefficients.shape[1] == 0:
-                factor = np.broadcast_to(atoms[rows][:, None], s.shape)
-            else:
-                c = coefficients[rows][:, None, :]
-                r = rates[rows][:, None, :]
-                o = orders[rows][:, None, :]
-                factor = atoms[rows][:, None] + (c * (r / (r - s[..., None])) ** o).sum(
-                    axis=-1
-                )
+        for coefficients, rates, powers, atoms in self._factors:
+            factor = _erlang_sum(
+                atoms[rows][:, None],
+                coefficients[rows][:, None, :],
+                rates[rows][:, None, :],
+                None if powers is None else powers[rows][:, None, :],
+                s,
+            )
             value = factor if value is None else value * factor
         return value
 

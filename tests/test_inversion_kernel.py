@@ -18,8 +18,8 @@ from repro.core.inversion import (
     _EULER_A,
     _EULER_M,
     _EULER_N,
-    ProductTailKernel,
     _abscissae,
+    _ProductTailKernel,
     _stacked_tail_rows,
     quantile_from_mgf,
     tail_from_mgf,
@@ -85,6 +85,26 @@ def test_kernel_tail_is_the_generic_and_the_stacked_float(model):
     assert [model.queueing_tail(t) for t in positive] == [float(v) for v in stacked]
 
 
+def _termwise_mgf(terms, s):
+    """One Erlang-term sum at ``s``, every order raised as a float power."""
+    if not terms.terms:
+        return np.full(s.shape, terms.atom, dtype=complex)
+    coefficients = np.array([t.coefficient for t in terms.terms], dtype=complex)
+    rates = np.array([t.rate for t in terms.terms], dtype=complex)
+    orders = np.array([t.order for t in terms.terms], dtype=float)
+    return terms.atom + (coefficients * (rates / (rates - s[..., None])) ** orders).sum(axis=-1)
+
+
+@pytest.mark.parametrize("model", [m for _, m in MODELS], ids=IDS)
+def test_product_transform_is_the_termwise_float(model):
+    """Skipping unit powers and caching complex orders changes no bit."""
+    positive = np.asarray([t for t in POINTS if 0.0 < t < math.inf])
+    s = -_abscissae(positive, _EULER_A, _EULER_N + _EULER_M + 1)
+    factors = (model._upstream_terms, model._burst_terms, model._position_terms)
+    upstream, burst, position = (_termwise_mgf(f, s) for f in factors)
+    np.testing.assert_array_equal(model.queueing_mgf(s), upstream * burst * position)
+
+
 @pytest.mark.parametrize("model", [m for _, m in MODELS], ids=IDS)
 def test_kernel_quantile_is_the_generic_float(model):
     for probability in LEVELS:
@@ -131,9 +151,7 @@ class TestClampedTransforms:
 
     def test_kernel_tail_clamps_like_the_generic_tail(self):
         atom = 0.0
-        kernel = ProductTailKernel(
-            [(factor.atom, *factor._term_arrays()) for factor in self.FACTORS], atom
-        )
+        kernel = _ProductTailKernel(self.FACTORS, atom)
         points = POINTS + [1e-2, 3e-3]
         values = [kernel.tail(t) for t in points]
         assert values == [tail_from_mgf(self.mgf, t, atom_at_zero=atom) for t in points]
