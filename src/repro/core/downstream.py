@@ -31,6 +31,7 @@ import numpy as np
 
 from ..errors import ConvergenceError, ParameterError, StabilityError
 from ..units import require_positive
+from .inversion import _brent, drive
 from .mgf import ErlangTerm, ErlangTermSum
 
 __all__ = [
@@ -430,14 +431,12 @@ class MultiServerBurstQueue:
         lower = 1e-12 * s_max
         upper = s_max * (1.0 - 1e-9)
         # g(0) = 0 with negative slope (stability), g -> +inf at the pole.
-        from scipy import optimize as _optimize
-
         probe = upper
         while g(probe) <= 0.0:
             probe = s_max - (s_max - probe) / 10.0
             if s_max - probe < 1e-15 * s_max:
                 raise ParameterError("failed to bracket the multi-server dominant pole")
-        return float(_optimize.brentq(g, lower, probe, xtol=1e-15, rtol=1e-14))
+        return float(drive(_brent(lower, probe, 1e-15, rtol=1e-14), g))
 
     def waiting_time(self) -> ErlangTermSum:
         """One-pole approximation of the burst waiting time (eq. (14) analogue)."""

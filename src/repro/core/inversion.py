@@ -78,9 +78,13 @@ tail.  The search is a generator (:func:`_quantile_search`) that yields
 each tail point it needs and is sent the tail value back; Brent's
 method itself is a port of scipy's ``brentq.c`` written the same way
 (:func:`_brent`), so a search can be suspended between any two
-evaluations.  One round loop (:func:`_run_searches`) advances a batch of
-searches round by round and answers each round with one evaluation:
-:func:`quantile_from_mgf` is that loop with a batch of one and a
+evaluations.  The port also serves every other root find of the model
+and serving code (dominant poles, Erlang-sum and Chernoff quantiles,
+surface load inversions, each driven on its own with :func:`drive`),
+so no serving path imports scipy.  One round loop
+(:func:`_run_searches`) advances a batch of searches round by round
+and answers each round with one evaluation: :func:`quantile_from_mgf`
+is that loop with a batch of one and a
 :func:`tail_from_mgf` call per point, :func:`quantiles_from_mgfs` the
 same loop with one stacked evaluation per round;
 :meth:`_ProductTailKernel.quantile` drives one search directly with
@@ -670,21 +674,32 @@ def lockstep(
     return results
 
 
-def _brent(xa: float, xb: float, xtol: float, maxiter: int = 100) -> Search:
+def _brent(
+    xa: float, xb: float, xtol: float, maxiter: int = 100, rtol: float = _BRENT_RTOL
+) -> Search:
     """Brent's root finder (Brent 1973, ch. 4) as a suspendable search.
 
     A line-by-line port of scipy's ``brentq.c``: it yields each point
     ``x`` where it needs the function and is sent ``f(x)`` back, so many
     searches can be advanced together by one round loop (see
-    :func:`lockstep`).  Given the same function values it visits
-    the same points and returns the same float as
-    ``scipy.optimize.brentq(f, xa, xb, xtol=xtol, maxiter=maxiter)``,
-    and raises where it does:
-    ``ValueError`` for a NaN value or for ``f(xa)`` and ``f(xb)`` of the
-    same sign, ``RuntimeError`` once ``maxiter`` iterations are spent.
+    :func:`lockstep`), and one search runs on its own with
+    ``drive(_brent(a, b, xtol), f)``.  It serves every root find of
+    ``repro.core``, ``repro.surface`` and ``repro.scenarios``: the
+    quantile searches, the dimensioning load search, the dominant poles
+    of the upstream and multi-server queues, the Erlang-sum and
+    Chernoff quantiles and the surface load inversions.
+
+    Given the same function values it visits the same points and
+    returns the same float as ``scipy.optimize.brentq(f, xa, xb,
+    xtol=xtol, rtol=rtol, maxiter=maxiter)`` (``rtol`` defaults to
+    scipy's own default), and raises where it does: ``ValueError`` for
+    a NaN value or for ``f(xa)`` and ``f(xb)`` of the same sign,
+    ``RuntimeError`` once ``maxiter`` iterations are spent.  Like
+    scipy's C loop it works on each value as a C double, ``float(fx)``.
     """
 
     def value(x: float, fx: float) -> float:
+        fx = float(fx)
         if math.isnan(fx):
             raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
         return fx
@@ -718,7 +733,7 @@ def _brent(xa: float, xb: float, xtol: float, maxiter: int = 100) -> Search:
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
+        delta = (xtol + rtol * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur

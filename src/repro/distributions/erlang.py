@@ -14,7 +14,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy import special, stats
 
 from ..errors import ParameterError
 from .base import ArrayLike, ComplexLike, Distribution, as_array
@@ -49,11 +48,15 @@ class Erlang(Distribution):
 
     # -- probabilities -------------------------------------------------
     def pdf(self, x: ArrayLike) -> ArrayLike:
+        from scipy import stats
+
         x = as_array(x)
         out = stats.gamma.pdf(x, a=self.order, scale=1.0 / self.rate)
         return out if out.ndim else float(out)
 
     def cdf(self, x: ArrayLike) -> ArrayLike:
+        from scipy import stats
+
         x = as_array(x)
         out = stats.gamma.cdf(x, a=self.order, scale=1.0 / self.rate)
         return out if out.ndim else float(out)
@@ -65,12 +68,16 @@ class Erlang(Distribution):
         function, which is numerically accurate far into the tail (the
         paper plots tails down to 1e-6 in Figure 1).
         """
+        from scipy import special
+
         x = as_array(x)
         out = special.gammaincc(self.order, self.rate * np.maximum(x, 0.0))
         out = np.where(x < 0.0, 1.0, out)
         return out if out.ndim else float(out)
 
     def quantile(self, q: ArrayLike) -> ArrayLike:
+        from scipy import stats
+
         q = as_array(q)
         if np.any((q < 0.0) | (q >= 1.0)):
             raise ParameterError("quantile levels must lie in [0, 1)")

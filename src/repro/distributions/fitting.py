@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from ..errors import FittingError
 from .base import Distribution
@@ -101,6 +100,8 @@ def _least_squares_pdf(
     bins: Optional[int] = None,
 ) -> FitResult:
     """Generic least-squares fit of a parametric pdf against a histogram."""
+    from scipy import optimize
+
     centers, density = _histogram(samples, bins)
     if centers.size < 3:
         raise FittingError("not enough distinct histogram bins for a least-squares fit")

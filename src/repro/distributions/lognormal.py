@@ -13,7 +13,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from ..errors import ParameterError
 from .base import ArrayLike, ComplexLike, Distribution, as_array
@@ -49,6 +48,8 @@ class Lognormal(Distribution):
 
     # -- probabilities -------------------------------------------------
     def _frozen(self):
+        from scipy import stats
+
         return stats.lognorm(s=self.sigma, scale=math.exp(self.mu), loc=self.shift)
 
     def pdf(self, x: ArrayLike) -> ArrayLike:
@@ -112,18 +113,26 @@ class Normal(Distribution):
         return self._std**2
 
     def pdf(self, x: ArrayLike) -> ArrayLike:
+        from scipy import stats
+
         out = stats.norm.pdf(as_array(x), loc=self._mean, scale=self._std)
         return out if out.ndim else float(out)
 
     def cdf(self, x: ArrayLike) -> ArrayLike:
+        from scipy import stats
+
         out = stats.norm.cdf(as_array(x), loc=self._mean, scale=self._std)
         return out if out.ndim else float(out)
 
     def tail(self, x: ArrayLike) -> ArrayLike:
+        from scipy import stats
+
         out = stats.norm.sf(as_array(x), loc=self._mean, scale=self._std)
         return out if out.ndim else float(out)
 
     def quantile(self, q: ArrayLike) -> ArrayLike:
+        from scipy import stats
+
         q = as_array(q)
         if np.any((q <= 0.0) | (q >= 1.0)):
             raise ParameterError("quantile levels must lie in (0, 1)")

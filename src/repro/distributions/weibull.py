@@ -11,7 +11,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy import optimize, special, stats
 
 from ..errors import ParameterError
 from .base import ArrayLike, Distribution, as_array
@@ -36,16 +35,22 @@ class Weibull(Distribution):
     # -- moments -------------------------------------------------------
     @property
     def mean(self) -> float:
+        from scipy import special
+
         return self.shift + self.scale * special.gamma(1.0 + 1.0 / self.shape)
 
     @property
     def variance(self) -> float:
+        from scipy import special
+
         g1 = special.gamma(1.0 + 1.0 / self.shape)
         g2 = special.gamma(1.0 + 2.0 / self.shape)
         return self.scale**2 * (g2 - g1**2)
 
     # -- probabilities -------------------------------------------------
     def _frozen(self):
+        from scipy import stats
+
         return stats.weibull_min(c=self.shape, scale=self.scale, loc=self.shift)
 
     def pdf(self, x: ArrayLike) -> ArrayLike:
@@ -82,6 +87,8 @@ class Weibull(Distribution):
         The shape ``k`` solving ``CoV^2 = Gamma(1+2/k)/Gamma(1+1/k)^2 - 1``
         is found numerically; the scale then follows from the mean.
         """
+        from scipy import optimize, special
+
         effective_mean = mean - shift
         if effective_mean <= 0.0:
             raise ParameterError("mean - shift must be positive")

@@ -15,6 +15,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..core.inversion import _brent, drive
 from ..core.rtt import DEFAULT_QUANTILE
 from ..errors import ParameterError
 from .base import Scenario
@@ -150,7 +151,7 @@ class SweepSeries:
 
         With a certified surface attached and covering the swept load
         range, the monotone RTT curve is inverted on the surface by
-        bisection (certified within the surface's bound); otherwise the
+        Brent's method (certified within the surface's bound); otherwise the
         inverse is the historical uncertified linear interpolation.
         """
         loads = np.asarray(self.loads())
@@ -161,8 +162,6 @@ class SweepSeries:
             and surface.covers(float(loads[0]), self.probability)
             and surface.covers(float(loads[-1]), self.probability)
         ):
-            from scipy import optimize  # deferred: keep module import light
-
             def excess(load: float) -> float:
                 return 1e3 * surface.lookup(float(load), self.probability) - rtt_bound_ms
 
@@ -170,9 +169,7 @@ class SweepSeries:
                 return 0.0
             if excess(float(loads[-1])) <= 0.0:
                 return float(loads[-1])
-            return float(
-                optimize.brentq(excess, float(loads[0]), float(loads[-1]), xtol=1e-9)
-            )
+            return float(drive(_brent(float(loads[0]), float(loads[-1]), 1e-9), excess))
         if rtts[0] > rtt_bound_ms:
             return 0.0
         if rtts[-1] <= rtt_bound_ms:

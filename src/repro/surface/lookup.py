@@ -32,6 +32,7 @@ from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
+from ..core.inversion import _brent, drive
 from ..errors import ParameterError
 
 __all__ = ["QuantileSurface", "SurfaceIndex"]
@@ -216,12 +217,10 @@ class QuantileSurface:
             if load_cap is not None and float(load_cap) <= self.load_hi:
                 return hi
             return None
-        from scipy import optimize  # deferred: keep module import light
-
         def excess(load: float) -> float:
             return self.lookup(float(load), probability) - rtt_budget_s
 
-        return float(optimize.brentq(excess, lo, hi, xtol=xtol))
+        return float(drive(_brent(lo, hi, xtol), excess))
 
     # ------------------------------------------------------------------
     # Serialization (consumed by repro.surface.store)

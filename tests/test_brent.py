@@ -2,9 +2,10 @@
 
 ``repro.core.inversion._brent`` is a port of scipy's ``brentq.c`` that
 yields each point it needs and is sent the function value back.  Driven
-on the same function with the same ``xtol``, it must return the same
-root bit for bit after the same number of function calls, and raise
-where scipy raises.
+on the same function with the same ``xtol`` and ``rtol``, it must return
+the same root bit for bit after the same number of function calls, and
+raise where scipy raises.  That includes the dominant-pole root finds of
+every registry preset, which run on the port with ``rtol=1e-14``.
 """
 
 import math
@@ -13,12 +14,16 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from repro.core.inversion import _brent
+from repro.core import downstream, upstream
+from repro.core.downstream import MultiServerBurstQueue, ServerFlow
+from repro.core.inversion import _BRENT_RTOL, _brent, drive
+from repro.core.upstream import MultiClassMG1Queue, TrafficClass
+from repro.scenarios import available_scenarios, get_scenario
 
 
-def run_brent(f, a, b, xtol, maxiter=100):
+def run_brent(f, a, b, xtol, maxiter=100, rtol=_BRENT_RTOL):
     """Drive the generator on ``f``; return (root, function calls)."""
-    search = _brent(a, b, xtol, maxiter)
+    search = _brent(a, b, xtol, maxiter, rtol=rtol)
     calls = 0
     x = next(search)
     while True:
@@ -29,14 +34,14 @@ def run_brent(f, a, b, xtol, maxiter=100):
             return stop.value, calls
 
 
-def run_scipy(f, a, b, xtol, maxiter=100):
+def run_scipy(f, a, b, xtol, maxiter=100, rtol=_BRENT_RTOL):
     calls = []
 
     def counted(x):
         calls.append(x)
         return f(x)
 
-    root = optimize.brentq(counted, a, b, xtol=xtol, maxiter=maxiter)
+    root = optimize.brentq(counted, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
     return root, len(calls)
 
 
@@ -114,3 +119,75 @@ def test_exhausted_maxiter_raises_runtime_error():
         optimize.brentq(f, -1.0, 2.0, maxiter=3)
     with pytest.raises(RuntimeError, match="Failed to converge after 3 iterations"):
         run_brent(f, -1.0, 2.0, 2e-12, maxiter=3)
+
+
+# ----------------------------------------------------------------------
+# A non-default rtol, and the dominant-pole root finds of every preset
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("seed", range(2))
+def test_non_default_rtol_matches_scipy_bit_for_bit(seed):
+    rng = np.random.default_rng(20240701 + seed)
+    for _ in range(100):
+        f, a, b = monotone_function(rng)
+        xtol = float(10.0 ** rng.uniform(-15, -1))
+        rtol = float(10.0 ** rng.uniform(-14, -6))
+        expected, expected_calls = run_scipy(f, a, b, xtol, rtol=rtol)
+        root, calls = run_brent(f, a, b, xtol, rtol=rtol)
+        assert root.hex() == expected.hex()
+        assert calls == expected_calls
+
+
+def preset_queues(name, load):
+    """The M/D/1 or multi-class upstream queue and, for every preset, a
+    multi-server downstream queue (a one-flow one for single-game presets)."""
+    model = get_scenario(name).model_at_load(load)
+    upstream, downstream = model.upstream_queue(), model.downstream_queue()
+    if isinstance(downstream, MultiServerBurstQueue):
+        return [upstream, downstream]
+    flow = ServerFlow(
+        interval_s=model.tick_interval_s,
+        mean_service_s=model.mean_burst_service_s,
+        order=model.erlang_order,
+    )
+    single_class = TrafficClass(
+        num_sources=model.num_gamers,
+        interval_s=model.tick_interval_s,
+        packet_bits=8.0 * model.client_packet_bytes,
+    )
+    return [
+        upstream,
+        MultiClassMG1Queue.from_classes([single_class], rate_bps=model.aggregation_rate_bps),
+        MultiServerBurstQueue.from_flows([flow]),
+    ]
+
+
+@pytest.mark.parametrize("name", available_scenarios())
+def test_dominant_poles_match_scipy_with_rtol(name, monkeypatch):
+    """Each dominant pole's own function and bracket, re-run on scipy."""
+    finds = []
+
+    def recording_brent(a, b, xtol, maxiter=100, rtol=_BRENT_RTOL):
+        finds.append({"a": a, "b": b, "xtol": xtol, "maxiter": maxiter, "rtol": rtol})
+        return _brent(a, b, xtol, maxiter, rtol=rtol)
+
+    def recording_drive(search, f):
+        finds[-1]["f"] = f
+        finds[-1]["root"] = drive(search, f)
+        return finds[-1]["root"]
+
+    for module in (upstream, downstream):
+        monkeypatch.setattr(module, "_brent", recording_brent)
+        monkeypatch.setattr(module, "drive", recording_drive)
+
+    for load in (0.2, 0.45, 0.7):
+        for queue in preset_queues(name, load):
+            before = len(finds)
+            pole = queue.dominant_pole
+            assert len(finds) == before + 1 and finds[-1]["root"] == pole
+    for find in finds:
+        assert (find["xtol"], find["rtol"]) == (1e-15, 1e-14)
+        args = (find["f"], find["a"], find["b"], find["xtol"], find["maxiter"], find["rtol"])
+        expected, expected_calls = run_scipy(*args)
+        root, calls = run_brent(*args)
+        assert root.hex() == expected.hex() == find["root"].hex()
+        assert calls == expected_calls
