@@ -11,8 +11,8 @@ models of a group, instead of one array call per model.
 Acceptance criteria asserted here (ISSUE 3):
 
 * a mixed 4-preset request batch served through the Fleet performs
-  >= 3x fewer MGF array invocations than per-engine dispatch (the PR 2
-  sequential batch path; the observed ratio is ~30x);
+  >= 3x fewer MGF array invocations than per-engine dispatch (one
+  ``quantile_from_mgf`` search per model; the observed ratio is ~30x);
 * the served quantiles agree with the serial scalar
   ``model.rtt_quantile`` to <= 1e-9 relative error — and are in fact bit-identical, because the
   stacked rounds reproduce the per-model tail bits and therefore the
@@ -26,7 +26,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.inversion import quantiles_from_mgfs
+from repro.core.inversion import quantile_from_mgf
 from repro.fleet import Fleet, Request
 from repro.scenarios import get_scenario
 from repro.testing import CountingMgf
@@ -53,25 +53,22 @@ def test_fleet_vs_per_engine_dispatch(benchmark):
         for preset in PRESETS
     }
 
-    # -- per-engine dispatch: one scenario at a time, one MGF array call
-    #    per tail evaluation per model (the PR 2 sequential batch path).
+    # -- per-engine dispatch: one quantile_from_mgf search per model, one
+    #    MGF array call per tail evaluation.
     start = time.perf_counter()
     dispatch_calls = 0
     dispatch_quantiles = []
     for preset in PRESETS:
-        models = models_by_preset[preset]
-        wrappers = [CountingMgf(model.queueing_mgf) for model in models]
-        queueing = quantiles_from_mgfs(
-            wrappers,
-            PROBABILITY,
-            scale_hints=[model._inversion_scale_hint for model in models],
-            atoms_at_zero=[model.queueing_atom for model in models],
-        )
-        dispatch_calls += sum(wrapper.calls for wrapper in wrappers)
-        dispatch_quantiles.extend(
-            model.deterministic_delay_s + value
-            for model, value in zip(models, queueing)
-        )
+        for model in models_by_preset[preset]:
+            wrapper = CountingMgf(model.queueing_mgf)
+            queueing = quantile_from_mgf(
+                wrapper,
+                PROBABILITY,
+                scale_hint=model._inversion_scale_hint,
+                atom_at_zero=model.queueing_atom,
+            )
+            dispatch_calls += wrapper.calls
+            dispatch_quantiles.append(model.deterministic_delay_s + queueing)
     dispatch_elapsed = time.perf_counter() - start
 
     # -- the Fleet: the whole mixed batch in one pass over the stacked

@@ -35,6 +35,7 @@ import pytest
 
 from perfbench import streams
 from repro.core.inversion import quantile_from_mgf, quantiles_from_mgfs
+from repro.core.rtt import QueueingMgfStack
 from repro.errors import ReproError
 from repro.fleet import Fleet
 from repro.scenarios import Scenario, default_load_grid
@@ -86,12 +87,12 @@ def test_vectorized_inversion_vs_scalar(benchmark):
     vector_quantiles = [value for value, _ in vector_results]
     vector_calls = [calls for _, calls in vector_results]
 
-    # -- the batch entry point the Engine uses --------------------------
+    # -- the stacked lockstep search of a multi-model plan --------------
     batch_quantiles = quantiles_from_mgfs(
-        [model.queueing_mgf for model in models],
-        PROBABILITY,
-        scale_hints=[model._inversion_scale_hint for model in models],
-        atoms_at_zero=[model.queueing_atom for model in models],
+        [PROBABILITY] * len(models),
+        [model._inversion_scale_hint for model in models],
+        [model.queueing_atom for model in models],
+        stack_eval=QueueingMgfStack(models),
         tolerance=TOLERANCE,
     )
 
@@ -118,7 +119,7 @@ def test_vectorized_inversion_vs_scalar(benchmark):
     # Acceptance: agreement to <= 1e-9 relative error.
     assert max(relative_errors) <= 1e-9
 
-    # The batch entry point returns the exact per-point floats.
+    # The stacked search returns the exact per-point floats.
     assert batch_quantiles == vector_quantiles
 
     # Acceptance: a measured wall-clock speedup on the default grid (the

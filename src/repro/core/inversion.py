@@ -15,59 +15,27 @@ It is used as the default quantile engine, with the Appendix-A expansion
 retained as an alternative method (and cross-checked against this one in
 the test-suite wherever it is well-conditioned).
 
-Batched API
------------
+Evaluation paths
+----------------
 
 The Euler algorithm evaluates the transform at ``plain_terms +
 euler_terms + 1`` abscissae ``s_k = A/(2t) + i k pi / t`` and combines
 the real parts with fixed signed weights (the alternating signs and the
 binomial averaging collapse into one precomputed weight vector, see
-:func:`_euler_weights`).  When the transform is numpy-vectorized —
-every MGF in this code base is — all abscissae are evaluated in a
-*single* array call:
-
-* :func:`euler_laplace_inversion` inverts at one point with one
-  transform call (falling back to a scalar loop for callables that only
-  accept scalar ``complex``);
-* :func:`tails_from_mgf` assembles the abscissae of a whole grid of
-  points into one array and recovers every tail probability from a
-  single MGF call.
-
-Stacked API (cross-transform batching)
---------------------------------------
-
-The batched API above still spends one array call per *transform*: a
-multi-scenario sweep with ``N`` operating points performs ``N`` array
-evaluations per step of the search.  The stacked API collapses the
-remaining axis — the *transform* index — as well:
-
-* :func:`tails_from_mgfs` takes a **list** of transforms with one point
-  grid each, vstacks every (transform, point) pair's abscissae into a
-  single complex array of rows and, given a joint evaluator
-  (``stack_eval``, e.g. :class:`repro.core.rtt.QueueingMgfStack`),
-  recovers every tail of every transform from **one** array evaluation;
-  without a joint evaluator it degrades gracefully to one array call
-  per transform;
-* :func:`quantiles_from_mgfs` runs one quantile search per transform
-  in *lockstep*: every round of outstanding tail evaluations — one
-  point per still-active search — is served by a single stacked array
-  evaluation.
-
-Compiled kernel (one model)
----------------------------
-
-A single model's transform needs none of that dispatch.
-:class:`_ProductTailKernel` is compiled once per model (cached as
-:attr:`repro.core.rtt.ComposedRttModel.tail_kernel`) from its three
-Erlang-term factors and is the model's one evaluator of its product
-transform, and the only route of its ``"inversion"`` tail and quantile:
-each tail writes the default abscissae into one complex array (module
-constants hold ``k pi`` and ``exp(A/2)``), evaluates the three factor
-sums with :func:`repro.core.mgf._erlang_sum`, and one search runs under
-a single floating-point error state.  Its floats are those of
-:func:`tail_from_mgf` / :func:`quantile_from_mgf` on the product
-callable, which stay the generic API for arbitrary transforms and the
-test-suite's reference.
+:func:`_euler_weights`).  Three routes do so, and all three return the
+same float for the same transform and point.  One model's tails and
+quantiles run on its compiled :class:`_ProductTailKernel` (cached as
+:attr:`repro.core.rtt.ComposedRttModel.tail_kernel`), which writes the
+default abscissae into one complex array and evaluates its three
+Erlang-term factors with :func:`repro.core.mgf._erlang_sum`.  A
+multi-model plan runs :func:`quantiles_from_mgfs`, one quantile search
+per model in lockstep, answering every round's tail points with one
+:func:`_stacked_tail_rows` evaluation of a joint evaluator
+(:class:`repro.core.rtt.QueueingMgfStack`).  :func:`tail_from_mgf`,
+:func:`quantile_from_mgf` and :func:`euler_laplace_inversion` invert an
+arbitrary callable (one array call per point, or a scalar loop for
+callables that only accept scalar ``complex``) and are the test-suite's
+reference for the other two.
 
 Quantile searches
 -----------------
@@ -81,18 +49,13 @@ method itself is a port of scipy's ``brentq.c`` written the same way
 evaluations.  The port also serves every other root find of the model
 and serving code (dominant poles, Erlang-sum and Chernoff quantiles,
 surface load inversions, each driven on its own with :func:`drive`),
-so no serving path imports scipy.  One round loop
-(:func:`_run_searches`) advances a batch of searches round by round
-and answers each round with one evaluation: :func:`quantile_from_mgf`
-is that loop with a batch of one and a
-:func:`tail_from_mgf` call per point, :func:`quantiles_from_mgfs` the
-same loop with one stacked evaluation per round;
-:meth:`_ProductTailKernel.quantile` drives one search directly with
-:func:`drive`, without the round lists.  Because the stacked
-arithmetic is bit-identical per row to the per-transform path (same
-elementwise kernels, same reduction lengths, same weights), every
-search follows the exact trajectory of its scalar counterpart and
-returns the very same float.
+so no serving path imports scipy.  :func:`quantile_from_mgf` and
+:meth:`_ProductTailKernel.quantile` drive one search with
+:func:`drive`; :func:`quantiles_from_mgfs` advances many with
+:func:`lockstep`.  Because the stacked arithmetic is bit-identical per
+row to the per-transform path (same elementwise kernels, same
+reduction lengths, same weights), every search follows the exact
+trajectory of its scalar counterpart and returns the very same float.
 
 Two properties of these kernels carry the plan/execute split of the
 serving layer (:func:`repro.core.rtt.execute_plan`,
@@ -123,7 +86,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -133,16 +96,15 @@ from .mgf import ErlangTermSum, _erlang_sum
 __all__ = [
     "euler_laplace_inversion",
     "tail_from_mgf",
-    "tails_from_mgf",
-    "tails_from_mgfs",
     "quantile_from_mgf",
     "quantiles_from_mgfs",
 ]
 
-#: Joint evaluator protocol of the stacked API: called with a complex
-#: abscissa array of shape ``(rows, num_abscissae)`` and an integer array
-#: mapping each row to its transform index, returns the transform values
-#: with the same shape (see :class:`repro.core.rtt.QueueingMgfStack`).
+#: Joint evaluator protocol of :func:`quantiles_from_mgfs`: called with
+#: a complex abscissa array of shape ``(rows, num_abscissae)`` and an
+#: integer array mapping each row to its transform index, returns the
+#: transform values with the same shape (see
+#: :class:`repro.core.rtt.QueueingMgfStack`).
 StackEval = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 #: Discretization parameter of the Euler algorithm; the discretization
@@ -387,227 +349,8 @@ def tail_from_mgf(
     return min(1.0, max(0.0, value))
 
 
-def tails_from_mgf(
-    mgf: Callable[[complex], complex],
-    xs,
-    atom_at_zero: Optional[float] = None,
-    a: float = _EULER_A,
-    plain_terms: int = _EULER_N,
-    euler_terms: int = _EULER_M,
-):
-    """Batch ``P(X > x)`` over an array of points, one MGF call in total.
-
-    The Euler abscissae of every positive point are assembled into a
-    single complex array of shape ``(len(xs), plain_terms + euler_terms
-    + 1)`` and the ccdf transform is evaluated on it in one vectorized
-    MGF call; negative points return 1, zeros return ``1 - atom``, and
-    non-finite points follow :func:`tail_from_mgf` (``+inf``/``nan``
-    give 0).  Scalar-only callables fall back to element-wise
-    :func:`tail_from_mgf` with the same Euler parameters.  Agrees with
-    the scalar path to machine precision (same weights, same per-point
-    dot product).
-
-    Returns an ndarray of the same shape as ``xs`` (a float for scalar
-    input), clipped to ``[0, 1]``.
-    """
-    xs_arr = np.asarray(xs, dtype=float)
-    flat = xs_arr.ravel()
-    out = np.ones(flat.shape, dtype=float)
-
-    out[np.isposinf(flat) | np.isnan(flat)] = 0.0
-
-    zero = flat == 0.0
-    if np.any(zero):
-        atom = _atom_limit(mgf) if atom_at_zero is None else float(atom_at_zero)
-        out[zero] = min(1.0, max(0.0, 1.0 - atom))
-
-    positive = (flat > 0.0) & np.isfinite(flat)
-    if np.any(positive):
-        ts = flat[positive]
-        num = plain_terms + euler_terms + 1
-        s = _abscissae(ts, a, num)
-
-        def transform(values: np.ndarray) -> np.ndarray:
-            return (1.0 - mgf(-values)) / values
-
-        real = _transform_real(transform, s)
-        if real is None:
-            values = np.array(
-                [
-                    tail_from_mgf(
-                        mgf,
-                        float(t),
-                        atom_at_zero,
-                        a=a,
-                        plain_terms=plain_terms,
-                        euler_terms=euler_terms,
-                    )
-                    for t in ts
-                ],
-                dtype=float,
-            )
-        else:
-            prefactor = np.exp(a / 2.0) / (2.0 * ts)
-            weighted = (real * _euler_weights(plain_terms, euler_terms)).sum(axis=-1)
-            values = prefactor * weighted
-            # NaN (an MGF overflowing at the abscissae) clamps to 0 like
-            # the scalar path's min/max chain; np.clip would pass it on.
-            values = np.where(np.isnan(values), 0.0, np.clip(values, 0.0, 1.0))
-        out[positive] = values
-
-    out = out.reshape(xs_arr.shape)
-    return out if out.ndim else float(out)
-
-
 # ----------------------------------------------------------------------
-# Stacked API: batching across transforms, not just across points
-# ----------------------------------------------------------------------
-def _is_per_transform_grids(xs, count: int) -> bool:
-    """Whether ``xs`` is a list/tuple of one point grid per transform.
-
-    Only a list/tuple of ``count`` *array-likes* qualifies; a flat list
-    of scalars is a shared grid no matter its length, so that e.g.
-    ``tails_from_mgfs([f, g], [0.01, 0.02])`` evaluates both points for
-    both transforms instead of silently splitting them.
-    """
-    return (
-        isinstance(xs, (list, tuple))
-        and len(xs) == count
-        and all(np.asarray(entry).ndim > 0 for entry in xs)
-    )
-
-
-def _stacked_tail_rows(
-    stack_eval: StackEval,
-    indices: np.ndarray,
-    ts: np.ndarray,
-    a: float,
-    plain_terms: int,
-    euler_terms: int,
-) -> np.ndarray:
-    """Tail probabilities of many (transform, point) rows in one evaluation.
-
-    ``ts`` holds one positive finite tail point per row and ``indices``
-    the transform each row belongs to; ``stack_eval`` evaluates every
-    transform on its own rows of the joint abscissa array in a single
-    call.  The ccdf arithmetic, the weight vector, the per-row dot
-    product and the NaN/clip handling mirror the per-transform path
-    exactly (the prefactor uses ``math.exp`` like
-    :func:`euler_laplace_inversion`, whose scalar-point route is what
-    the quantile searches compare against), so each row's float is
-    identical to the corresponding :func:`tail_from_mgf` call.
-    """
-    num = plain_terms + euler_terms + 1
-    s = _abscissae(ts, a, num)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mgf_values = np.asarray(stack_eval(-s, indices))
-        transformed = (1.0 - mgf_values) / s
-    real = np.real(transformed).astype(float, copy=False)
-    prefactor = math.exp(a / 2.0) / (2.0 * ts)
-    values = prefactor * (real * _euler_weights(plain_terms, euler_terms)).sum(axis=-1)
-    return np.where(np.isnan(values), 0.0, np.clip(values, 0.0, 1.0))
-
-
-def tails_from_mgfs(
-    mgfs: Sequence[Callable[[complex], complex]],
-    xs,
-    atoms_at_zero: Optional[Sequence[Optional[float]]] = None,
-    a: float = _EULER_A,
-    plain_terms: int = _EULER_N,
-    euler_terms: int = _EULER_M,
-    stack_eval: Optional[StackEval] = None,
-) -> List[np.ndarray]:
-    """Batch ``P(X_i > x)`` over the (transform, point) plane.
-
-    The Euler abscissae of every positive point of every transform are
-    vstacked into one complex array of rows.  With ``stack_eval`` (a
-    joint evaluator such as :class:`repro.core.rtt.QueueingMgfStack`)
-    the whole heterogeneous batch costs a **single** array evaluation;
-    without one, each transform is evaluated once on its own rows (one
-    array call per transform, the :func:`tails_from_mgf` cost), so the
-    function is usable with arbitrary callables.
-
-    Parameters
-    ----------
-    mgfs:
-        One MGF callable per transform.
-    xs:
-        Either one array of points shared by every transform, or a
-        list/tuple of arrays with one point grid per transform.  A flat
-        list of scalars is always a *shared* grid, whatever its length
-        — per-transform grids must be given as array-likes.
-    atoms_at_zero:
-        Optional per-transform probability masses at zero (``None``
-        entries are estimated with the bounded probe).
-    stack_eval:
-        Optional joint evaluator called as ``stack_eval(s, indices)``
-        with the vstacked abscissa rows and their transform indices.
-
-    Returns a list with one float ndarray per transform, shaped like
-    that transform's ``xs`` entry, clipped to ``[0, 1]``; each value is
-    bit-identical to the corresponding per-transform evaluation.
-    """
-    mgfs = list(mgfs)
-    if atoms_at_zero is None:
-        atoms: Sequence[Optional[float]] = [None] * len(mgfs)
-    else:
-        atoms = list(atoms_at_zero)
-        if len(atoms) != len(mgfs):
-            raise ParameterError(
-                "atoms_at_zero must match the number of transforms"
-            )
-    shared = not _is_per_transform_grids(xs, len(mgfs))
-    grids = [np.asarray(xs if shared else xs[i], dtype=float) for i in range(len(mgfs))]
-
-    if stack_eval is None:
-        return [
-            np.asarray(
-                tails_from_mgf(
-                    mgf,
-                    grid,
-                    atom,
-                    a=a,
-                    plain_terms=plain_terms,
-                    euler_terms=euler_terms,
-                )
-            )
-            for mgf, grid, atom in zip(mgfs, grids, atoms)
-        ]
-
-    outs: List[np.ndarray] = []
-    row_indices: List[int] = []
-    row_ts: List[float] = []
-    row_slots: List[tuple] = []
-    for i, (grid, atom) in enumerate(zip(grids, atoms)):
-        flat = grid.ravel()
-        out = np.ones(flat.shape, dtype=float)
-        out[np.isposinf(flat) | np.isnan(flat)] = 0.0
-        zero = flat == 0.0
-        if np.any(zero):
-            mass = _atom_limit(mgfs[i]) if atom is None else float(atom)
-            out[zero] = min(1.0, max(0.0, 1.0 - mass))
-        outs.append(out)
-        positive = (flat > 0.0) & np.isfinite(flat)
-        for j in np.nonzero(positive)[0]:
-            row_indices.append(i)
-            row_ts.append(float(flat[j]))
-            row_slots.append((i, int(j)))
-    if row_ts:
-        values = _stacked_tail_rows(
-            stack_eval,
-            np.asarray(row_indices, dtype=np.intp),
-            np.asarray(row_ts, dtype=float),
-            a,
-            plain_terms,
-            euler_terms,
-        )
-        for (i, j), value in zip(row_slots, values):
-            outs[i][j] = value
-    return [out.reshape(grid.shape) for out, grid in zip(outs, grids)]
-
-
-# ----------------------------------------------------------------------
-# Quantile searches: suspendable Brent, one round loop for every batch size
+# Quantile searches: suspendable Brent, driven alone or in lockstep
 # ----------------------------------------------------------------------
 #: Relative tolerance of :func:`_brent`, scipy's ``brentq`` default.
 _BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
@@ -772,9 +515,9 @@ def _quantile_search(probability: float, scale_hint: float, tolerance: float) ->
     ``scale_hint`` and remembers its last failed doubling as the lower
     end, and the memo answers Brent's two endpoint evaluations, so no
     point is asked for twice.  Every quantile of the module is one of
-    these searches, run by :func:`_run_searches`: the trajectory depends
-    only on the tail values it is sent, never on how many searches
-    share a round or how the values were computed.
+    these searches: the trajectory depends only on the tail values it is
+    sent, never on how many searches share a round or how the values
+    were computed.
     """
     if not 0.0 < probability < 1.0:
         raise ParameterError("probability must lie in (0, 1)")
@@ -801,55 +544,6 @@ def _quantile_search(probability: float, scale_hint: float, tolerance: float) ->
             x = brent.send(fx)
         except StopIteration as stop:
             return stop.value
-
-
-def _run_searches(
-    mgfs: Sequence[Callable[[complex], complex]],
-    probabilities: Sequence[float],
-    hints: Sequence[float],
-    atoms: Sequence[Optional[float]],
-    tolerance: float,
-    stack_eval: Optional[StackEval],
-) -> List[float]:
-    """Run one quantile search per transform to completion, in rounds.
-
-    Every :func:`lockstep` round collects the pending tail point of each
-    still-active search and answers them all.  With ``stack_eval`` the
-    round's positive finite points cost one :func:`_stacked_tail_rows`
-    evaluation; any other point is a :func:`tail_from_mgf` call on its
-    own transform (the special points zero, negative and non-finite
-    never need the transform).  A search that raises aborts the batch
-    with its exception.
-    """
-
-    def answer(batch: List[Tuple[int, float]]) -> List[float]:
-        rows = [] if stack_eval is None else [
-            j for j, (_, x) in enumerate(batch) if 0.0 < x < math.inf
-        ]
-        stacked: Dict[int, float] = {}
-        if rows:
-            indices = np.asarray([batch[j][0] for j in rows], dtype=np.intp)
-            xs = np.asarray([batch[j][1] for j in rows], dtype=float)
-            values = _stacked_tail_rows(stack_eval, indices, xs, _EULER_A, _EULER_N, _EULER_M)
-            stacked = dict(zip(rows, values))
-        return [
-            float(tail_from_mgf(mgfs[index], x, atom_at_zero=atoms[index]))
-            if j not in stacked
-            else float(stacked[j])
-            for j, (index, x) in enumerate(batch)
-        ]
-
-    searches = [
-        _quantile_search(probability, hint, tolerance)
-        for probability, hint in zip(probabilities, hints)
-    ]
-    rounds = lockstep(searches, lambda index, x: (index, x))
-    return [float(result) for result in drive(rounds, answer)]
-
-
-def _per_model(value: Union[float, Sequence[float]], count: int) -> list:
-    """A value shared by ``count`` models, or one value per model."""
-    return [value] * count if np.isscalar(value) else list(value)
 
 
 def quantile_from_mgf(
@@ -884,43 +578,12 @@ def quantile_from_mgf(
         Optional known probability mass at zero, forwarded to
         :func:`tail_from_mgf`.
     """
-    return _run_searches([mgf], [probability], [float(scale_hint)], [atom_at_zero], tolerance, None)[0]
-
-
-def quantiles_from_mgfs(
-    mgfs: Sequence[Callable[[complex], complex]],
-    probability: Union[float, Sequence[float]],
-    scale_hints: Union[float, Sequence[float]],
-    atoms_at_zero: Optional[Sequence[Optional[float]]] = None,
-    tolerance: float = _QUANTILE_TOLERANCE,
-    *,
-    stack_eval: Optional[StackEval] = None,
-) -> List[float]:
-    """Quantiles of many transforms, searched in lockstep.
-
-    Runs one :func:`quantile_from_mgf` search per transform (a scalar
-    ``probability`` or ``scale_hints`` is shared by all) and advances
-    them together: with a joint evaluator ``stack_eval`` (e.g.
-    :class:`repro.core.rtt.QueueingMgfStack`), every round of
-    outstanding tail points — one per still-active search — costs a
-    single array evaluation instead of one array call per transform.
-    The stacked tail arithmetic is bit-identical per row, so the
-    returned floats are those of per-transform :func:`quantile_from_mgf`
-    calls: the lockstep is an optimisation, not an approximation.
-    """
-    mgfs = list(mgfs)
-    probabilities = [float(p) for p in _per_model(probability, len(mgfs))]
-    hints = [float(h) for h in _per_model(scale_hints, len(mgfs))]
-    atoms = [None] * len(mgfs) if atoms_at_zero is None else list(atoms_at_zero)
-    if not len(probabilities) == len(hints) == len(atoms) == len(mgfs):
-        raise ParameterError(
-            "probability, scale_hints and atoms_at_zero must match the number of transforms"
-        )
-    return _run_searches(mgfs, probabilities, hints, atoms, tolerance, stack_eval)
+    search = _quantile_search(probability, float(scale_hint), tolerance)
+    return float(drive(search, lambda x: tail_from_mgf(mgf, x, atom_at_zero=atom_at_zero)))
 
 
 # ----------------------------------------------------------------------
-# The compiled kernel of one product of Erlang-term sums
+# Default-parameter evaluators: the stacked rows and the compiled kernel
 # ----------------------------------------------------------------------
 _NUM_ABSCISSAE = _EULER_N + _EULER_M + 1
 #: ``k pi`` for every default abscissa index ``k`` (the numerators of
@@ -930,6 +593,74 @@ _PI_K.flags.writeable = False
 #: ``exp(A/2)``, the numerator of the Euler prefactor ``exp(A/2) / (2t)``.
 _EXP_HALF_A = math.exp(_EULER_A / 2.0)
 _WEIGHTS = _euler_weights(_EULER_N, _EULER_M)
+
+
+def _stacked_tail_rows(stack_eval: StackEval, indices: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Tail probabilities of many (transform, point) rows in one evaluation.
+
+    ``ts`` holds one positive finite tail point per row and ``indices``
+    the transform each row belongs to; ``stack_eval`` evaluates every
+    transform on its own rows of the joint abscissa array in a single
+    call.  The abscissae, the ccdf arithmetic, the weight vector, the
+    per-row dot product and the NaN/clip handling are those of
+    :func:`tail_from_mgf` at the default Euler parameters, so each row's
+    float is identical to the corresponding ``tail_from_mgf`` call.
+    """
+    s = _abscissae(ts, _EULER_A, _NUM_ABSCISSAE)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mgf_values = np.asarray(stack_eval(-s, indices))
+        transformed = (1.0 - mgf_values) / s
+    real = np.real(transformed).astype(float, copy=False)
+    prefactor = _EXP_HALF_A / (2.0 * ts)
+    values = prefactor * (real * _WEIGHTS).sum(axis=-1)
+    return np.where(np.isnan(values), 0.0, np.clip(values, 0.0, 1.0))
+
+
+def quantiles_from_mgfs(
+    probabilities: Sequence[float],
+    scale_hints: Sequence[float],
+    atoms_at_zero: Sequence[float],
+    *,
+    stack_eval: StackEval,
+    tolerance: float = _QUANTILE_TOLERANCE,
+) -> List[float]:
+    """Quantiles of the transforms of a joint evaluator, searched in lockstep.
+
+    Takes one probability, scale hint and atom at zero per transform of
+    ``stack_eval`` (e.g. :class:`repro.core.rtt.QueueingMgfStack`) and
+    runs one :func:`_quantile_search` per transform under
+    :func:`lockstep`.  Each round answers a point that is not positive
+    and finite in closed form, as :func:`tail_from_mgf` does, and every
+    other point of the round with one :func:`_stacked_tail_rows`
+    evaluation.  The stacked rows are bit-identical to per-transform
+    tails, so the returned floats are those of per-transform
+    :func:`quantile_from_mgf` calls.
+    """
+    if not len(probabilities) == len(scale_hints) == len(atoms_at_zero):
+        raise ParameterError(
+            "probabilities, scale_hints and atoms_at_zero must have one entry per transform"
+        )
+    tails_at_zero = [min(1.0, max(0.0, 1.0 - float(atom))) for atom in atoms_at_zero]
+
+    def answer(batch: List[Tuple[int, float]]) -> List[float]:
+        values = [
+            1.0 if x < 0.0 else tails_at_zero[index] if x == 0.0 else 0.0
+            for index, x in batch
+        ]
+        rows = [j for j, (_, x) in enumerate(batch) if 0.0 < x < math.inf]
+        if rows:
+            indices = np.asarray([batch[j][0] for j in rows], dtype=np.intp)
+            ts = np.asarray([batch[j][1] for j in rows], dtype=float)
+            for j, value in zip(rows, _stacked_tail_rows(stack_eval, indices, ts)):
+                values[j] = float(value)
+        return values
+
+    searches = [
+        _quantile_search(float(probability), float(hint), tolerance)
+        for probability, hint in zip(probabilities, scale_hints)
+    ]
+    rounds = lockstep(searches, lambda index, x: (index, x))
+    return [float(result) for result in drive(rounds, answer)]
 
 
 class _ProductTailKernel:

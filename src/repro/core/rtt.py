@@ -42,16 +42,7 @@ from .downstream import (
     PacketPositionDelay,
     ServerFlow,
 )
-from .inversion import (
-    _brent,
-    _is_per_transform_grids,
-    _ProductTailKernel,
-    _per_model,
-    drive,
-    quantiles_from_mgfs,
-    tails_from_mgf,
-    tails_from_mgfs,
-)
+from .inversion import _brent, _ProductTailKernel, drive, quantiles_from_mgfs
 from .mgf import ErlangTerm, ErlangTermSum, _erlang_powers, _erlang_sum
 from .upstream import MD1Queue, MultiClassMG1Queue, TrafficClass
 
@@ -71,40 +62,12 @@ __all__ = [
     "execute_plan",
     "plan_signature",
     "model_uplink_load",
-    "batch_queueing_tails",
     "model_build_count",
     "reset_model_build_count",
-    "stacked_eval_count",
-    "reset_stacked_eval_count",
 ]
 
 #: Running count of PingTimeModel constructions (see model_build_count).
 _MODEL_BUILDS = 0
-
-#: Running count of joint (stacked) MGF array evaluations (see
-#: stacked_eval_count).
-_STACKED_EVALS = 0
-
-
-def stacked_eval_count() -> int:
-    """Number of joint :class:`QueueingMgfStack` array evaluations so far.
-
-    One stacked evaluation serves a whole round of tail points across
-    every model of a batch, so this counter is the stacked counterpart
-    of counting per-model MGF array invocations; the Fleet statistics
-    and ``benchmarks/bench_fleet.py`` read it to demonstrate the
-    cross-model batching win.
-    """
-    return _STACKED_EVALS
-
-
-def reset_stacked_eval_count() -> int:
-    """Reset the stacked-evaluation counter, returning the previous value."""
-    global _STACKED_EVALS
-    previous = _STACKED_EVALS
-    _STACKED_EVALS = 0
-    return previous
-
 
 def model_build_count() -> int:
     """Number of :class:`PingTimeModel` instances built so far.
@@ -321,16 +284,6 @@ class ComposedRttModel:
         atom_at_zero=self.queueing_atom)``, computed by :attr:`tail_kernel`.
         """
         return self.tail_kernel.tail(delay_s)
-
-    def queueing_tails(self, delays_s) -> "np.ndarray":
-        """Batch :meth:`queueing_tail` over an array of delays.
-
-        All Euler abscissae of all points are evaluated with a single
-        call of :meth:`queueing_mgf`.
-        """
-        return tails_from_mgf(
-            self.queueing_mgf, delays_s, atom_at_zero=self.queueing_atom
-        )
 
     def queueing_quantile(
         self, probability: float = DEFAULT_QUANTILE, method: str = "inversion"
@@ -951,8 +904,6 @@ class QueueingMgfStack:
     def __call__(self, s: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Transform values at abscissa rows ``s``, row ``r`` using model
         ``rows[r]``'s terms; one numpy pass for the whole batch."""
-        global _STACKED_EVALS
-        _STACKED_EVALS += 1
         self.array_calls += 1
         value: Optional[np.ndarray] = None
         for coefficients, rates, powers, atoms in self._factors:
@@ -965,12 +916,6 @@ class QueueingMgfStack:
             )
             value = factor if value is None else value * factor
         return value
-
-    def scale_hints(self) -> List[float]:
-        return [m._inversion_scale_hint for m in self.models]
-
-    def atoms_at_zero(self) -> List[float]:
-        return [m.queueing_atom for m in self.models]
 
 
 # ----------------------------------------------------------------------
@@ -1076,10 +1021,10 @@ class PlanResult:
     """The outcome of executing one :class:`EvalPlan`.
 
     Carries its own evaluation counters — ``stacked_mgf_calls`` counts
-    the joint array evaluations spent *in the executing process*, which
-    the serving layer folds into its statistics (the module-global
-    :func:`stacked_eval_count` only sees in-process work) — plus the
-    worker PID so callers can tell remote executions apart.
+    the :class:`QueueingMgfStack` array evaluations spent by the
+    executing process, which the serving layer folds into its
+    statistics — plus the worker PID so callers can tell remote
+    executions apart.
 
     The transport metadata is stamped by the execution tier, never by
     the kernel: a :class:`~repro.executors.RemoteExecutor` records which
@@ -1271,6 +1216,11 @@ class CostModel:
         }
 
 
+def _per_model(value: Union[float, Sequence[float]], count: int) -> list:
+    """A value shared by ``count`` models, or one value per model."""
+    return [value] * count if np.isscalar(value) else list(value)
+
+
 def compile_eval_plans(
     models: Sequence[Union["PingTimeModel", ModelParams]],
     probability: Union[float, Sequence[float]] = DEFAULT_QUANTILE,
@@ -1374,10 +1324,9 @@ def execute_plan(plan: EvalPlan) -> PlanResult:
             group = [models[i] for i in indices]
             stack = QueueingMgfStack(group)
             queueing = quantiles_from_mgfs(
-                [m.queueing_mgf for m in group],
                 [plan.probabilities[i] for i in indices],
-                scale_hints=stack.scale_hints(),
-                atoms_at_zero=stack.atoms_at_zero(),
+                [m._inversion_scale_hint for m in group],
+                [m.queueing_atom for m in group],
                 stack_eval=stack,
             )
             for index, model, value in zip(indices, group, queueing):
@@ -1396,35 +1345,3 @@ def execute_plan(plan: EvalPlan) -> PlanResult:
         worker_pid=os.getpid(),
         exec_s=time.perf_counter() - started,
     )
-
-
-def batch_queueing_tails(
-    models: Sequence["PingTimeModel"], delays_s
-) -> List[np.ndarray]:
-    """``P(queueing delay > t)`` for several models, stacked per group.
-
-    The cross-model counterpart of :meth:`PingTimeModel.queueing_tails`:
-    all (model, delay) pairs of a stack-compatible group are inverted
-    with a single joint array evaluation through
-    :func:`~repro.core.inversion.tails_from_mgfs`.  ``delays_s`` is one
-    grid shared by every model or a list/tuple of per-model grids (each
-    entry an array-like; a flat list of scalars is a shared grid); the
-    result is one ndarray per model, bit-identical to the per-model
-    helper.
-    """
-    models = list(models)
-    shared = not _is_per_transform_grids(delays_s, len(models))
-    grids = [delays_s if shared else delays_s[i] for i in range(len(models))]
-    results: List[Optional[np.ndarray]] = [None] * len(models)
-    for indices in QueueingMgfStack.group_indices(models).values():
-        group = [models[i] for i in indices]
-        stack = QueueingMgfStack(group)
-        tails = tails_from_mgfs(
-            [m.queueing_mgf for m in group],
-            [grids[i] for i in indices],
-            atoms_at_zero=stack.atoms_at_zero(),
-            stack_eval=stack,
-        )
-        for index, value in zip(indices, tails):
-            results[index] = value
-    return results  # type: ignore[return-value]

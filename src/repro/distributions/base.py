@@ -116,9 +116,8 @@ class Distribution(abc.ABC):
         Subclasses that have a closed-form MGF override this; others
         raise :class:`NotImplementedError`.  Implementations accept a
         scalar ``complex`` or a complex ndarray and evaluate elementwise
-        (the numerical inversion batches all Euler abscissae — and, for
-        :func:`repro.core.inversion.tails_from_mgf`, all grid points —
-        into one such array call).
+        (the numerical inversion batches all Euler abscissae of a tail
+        point into one such array call).
         """
         raise NotImplementedError(
             f"{type(self).__name__} has no closed-form moment generating function"

@@ -93,9 +93,11 @@ class ExecutorBrokenError(ReproError, RuntimeError):
 
     Raised by :class:`repro.executors.ParallelExecutor` when the
     process pool reports itself broken (a worker was killed, crashed or
-    ran out of memory) and by :class:`repro.executors.RemoteExecutor`
-    when every worker host is unreachable.  The executor disposes the
-    dead pool (or marks the dead hosts) before raising, so the **next**
+    ran out of memory), by :class:`repro.executors.RemoteExecutor` when
+    every worker host is unreachable, and by :class:`repro.fleet.Fleet`
+    when an executor's results do not match the plans it was given
+    (before any of them is folded in).  The executor disposes the dead
+    pool (or marks the dead hosts) before raising, so the **next**
     ``run``/``run_async`` call transparently recovers — a long-running
     service retries the batch instead of failing every future call.
 

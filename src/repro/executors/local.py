@@ -31,6 +31,7 @@ import concurrent.futures
 import math
 import multiprocessing
 import os
+import threading
 import time
 from typing import Iterable, List, Optional, Sequence, Union
 
@@ -39,6 +40,29 @@ from ..errors import ExecutorBrokenError, ExecutorTimeoutError, ParameterError
 from .base import Executor
 
 __all__ = ["SerialExecutor", "ParallelExecutor"]
+
+#: Seconds between a pool worker's checks that its parent is still alive.
+_PARENT_POLL_S = 0.5
+
+
+def _exit_with_parent(parent_pid: int) -> None:
+    """Pool-worker initializer: end the worker once its parent is gone.
+
+    A spawn-method worker holds both ends of its call queue, so it never
+    sees EOF when the parent is killed and would live on as an orphan.
+    A daemon thread polls ``os.getppid()`` and exits the worker as soon
+    as it no longer names ``parent_pid`` (the orphan was re-parented).
+    A worker that ``parent_pid`` did not start itself (a forkserver's
+    child) is not watched.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    if os.getppid() == parent_pid:
+        threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
 
 
 class SerialExecutor(Executor):
@@ -131,7 +155,10 @@ class ParallelExecutor(Executor):
     def _ensure_pool(self) -> concurrent.futures.ProcessPoolExecutor:
         if self._pool is None:
             self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=self._mp_context
+                max_workers=self.workers,
+                mp_context=self._mp_context,
+                initializer=_exit_with_parent,
+                initargs=(os.getpid(),),
             )
         return self._pool
 

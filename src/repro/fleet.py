@@ -90,7 +90,13 @@ from .core.rtt import (
     execute_plan,
     plan_signature,
 )
-from .errors import CacheFormatError, ParameterError, ReproError, StabilityError
+from .errors import (
+    CacheFormatError,
+    ExecutorBrokenError,
+    ParameterError,
+    ReproError,
+    StabilityError,
+)
 from .persist import atomic_write_text
 from .scenarios.base import Scenario
 from .scenarios.mix import MixScenario
@@ -991,12 +997,33 @@ class Fleet:
     def _assemble(
         self, batch_plan: "_BatchPlan", results: Sequence[PlanResult]
     ) -> List[Answer]:
-        """Phase 3: merge the plan results back through the shared cache."""
+        """Phase 3: merge the plan results back through the shared cache.
+
+        Every result is checked against its plan before any statistic or
+        cache entry is written; an executor that returns too few or too
+        many results, or a result whose indices or number of values
+        differ from its plan's, raises :class:`ExecutorBrokenError`
+        (naming the result's host), which the request coalescer counts
+        and retries like a dead pool.
+        """
+        plans = batch_plan.eval_plans
+        if len(results) != len(plans):
+            raise ExecutorBrokenError(
+                f"the executor returned {len(results)} results for {len(plans)} plans",
+                plan_count=len(plans),
+            )
+        for plan, result in zip(plans, results):
+            if tuple(result.indices) != plan.indices or len(result.values) != len(plan.indices):
+                raise ExecutorBrokenError(
+                    f"a result from {result.host or 'the local executor'} does not match "
+                    f"its plan: indices {tuple(result.indices)} with {len(result.values)} "
+                    f"values for plan indices {plan.indices}",
+                    host=result.host,
+                    plan_count=len(plans),
+                )
         values = batch_plan.values
         own_pid = os.getpid()
-        for keys, plan, result in zip(
-            batch_plan.plan_keys, batch_plan.eval_plans, results
-        ):
+        for keys, plan, result in zip(batch_plan.plan_keys, plans, results):
             self.stats.plans_executed += 1
             if result.worker_pid != own_pid:
                 self.stats.remote_plans += 1

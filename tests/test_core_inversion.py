@@ -10,11 +10,11 @@ from repro.core import ErlangTermSum
 from repro.core import inversion as inversion_module
 from repro.core.inversion import (
     _euler_weights,
+    _stacked_tail_rows,
     euler_laplace_inversion,
     quantile_from_mgf,
     quantiles_from_mgfs,
     tail_from_mgf,
-    tails_from_mgf,
 )
 from repro.errors import ParameterError
 from repro.testing import CountingMgf, scalar_only
@@ -166,81 +166,45 @@ class TestVectorizedEuler:
         assert value_scal == pytest.approx(value_vec, rel=1e-12)
 
 
-class TestTailsBatch:
-    """tails_from_mgf: a whole grid of points per MGF array call."""
+def _stack_of(mgfs):
+    """A joint evaluator over plain MGF callables: row ``r`` uses ``mgfs[rows[r]]``."""
 
-    def test_matches_single_point_evaluations_bitwise(self):
-        dist = ErlangTermSum.erlang_mixture([0.2, 0.5, 0.3], [2, 4, 7], rate=3.0)
-        xs = np.array([-1.0, 0.0, 1e-3, 0.5, 2.0, 6.0])
-        batch = tails_from_mgf(dist.mgf, xs)
-        single = np.array([tail_from_mgf(dist.mgf, float(x)) for x in xs])
-        assert np.array_equal(batch, single)
+    def stack_eval(s, rows):
+        return np.stack([mgfs[index](row) for index, row in zip(rows, s)])
 
-    def test_one_mgf_call_for_the_whole_grid(self):
-        dist = ErlangTermSum.erlang(4, 2.0)
-        counting = CountingMgf(dist.mgf)
-        tails_from_mgf(counting, np.linspace(0.1, 3.0, 12))
-        assert counting.calls == 1
-        assert counting.arguments[0].shape == (12, 35)
+    return stack_eval
 
-    def test_scalar_only_mgf_falls_back_per_point(self):
-        dist = ErlangTermSum.erlang(4, 2.0)
-        xs = np.array([0.2, 1.0, 2.5])
-        batch = tails_from_mgf(scalar_only(dist.mgf), xs)
-        single = np.array([tail_from_mgf(dist.mgf, float(x)) for x in xs])
-        assert np.array_equal(batch, single)
 
-    def test_scalar_input_returns_float(self):
-        dist = ErlangTermSum.exponential(2.0)
-        value = tails_from_mgf(dist.mgf, 1.0)
-        assert isinstance(value, float)
-        assert value == tail_from_mgf(dist.mgf, 1.0)
-
-    def test_preserves_shape_and_clamps(self):
-        dist = ErlangTermSum.erlang(2, 1.0)
-        xs = np.array([[0.5, 1.0], [2.0, 4.0]])
-        out = tails_from_mgf(dist.mgf, xs)
-        assert out.shape == xs.shape
-        assert np.all((out >= 0.0) & (out <= 1.0))
-
+class TestTailFallbacksAndClamps:
     def test_scalar_fallback_honours_euler_parameters(self):
         # Regression: the fallback used to drop a/plain_terms/euler_terms
         # and re-evaluate with the defaults.
         dist = ErlangTermSum.erlang(3, 2.0)
-        xs = np.array([0.5, 1.0])
         custom = dict(a=22.0, plain_terms=30, euler_terms=14)
-        batch = tails_from_mgf(scalar_only(dist.mgf), xs, **custom)
-        single = np.array(
-            [tail_from_mgf(dist.mgf, float(x), **custom) for x in xs]
-        )
-        assert np.array_equal(batch, single)
+        for x in (0.5, 1.0):
+            assert tail_from_mgf(scalar_only(dist.mgf), x, **custom) == tail_from_mgf(
+                dist.mgf, x, **custom
+            )
+        assert tail_from_mgf(dist.mgf, 0.5, **custom) != tail_from_mgf(dist.mgf, 0.5)
 
-    def test_overflowing_mgf_clamps_like_the_scalar_path(self):
+    def test_overflowing_mgf_stacked_rows_clamp_like_the_scalar_path(self):
         # Regression: NaN from an MGF overflowing at the abscissae used
         # to pass through np.clip while the scalar path clamped it to 0.
         def gaussian_mgf(s):
             return np.exp(0.12 * s + 0.5 * (2.0 * s) ** 2)
 
         xs = np.array([1e-4, 1e-3])
-        batch = tails_from_mgf(gaussian_mgf, xs, atom_at_zero=0.0)
-        single = np.array(
-            [tail_from_mgf(gaussian_mgf, float(x), atom_at_zero=0.0) for x in xs]
-        )
-        assert np.array_equal(batch, single)
-        assert np.all(np.isfinite(batch))
-        assert np.all((batch >= 0.0) & (batch <= 1.0))
+        rows = _stacked_tail_rows(_stack_of([gaussian_mgf]), np.zeros(2, dtype=np.intp), xs)
+        single = [tail_from_mgf(gaussian_mgf, float(x), atom_at_zero=0.0) for x in xs]
+        assert [float(v) for v in rows] == single
+        assert np.all(np.isfinite(rows))
+        assert np.all((rows >= 0.0) & (rows <= 1.0))
 
-    def test_non_finite_points_match_scalar_path(self):
-        # Regression: +inf/nan used to slip through the positive mask and
-        # yield NaN (batch) vs 0.0 (scalar).
+    def test_non_finite_points_have_closed_form_tails(self):
+        # Regression: +inf/nan used to yield NaN on the batched path.
         dist = ErlangTermSum.erlang(3, 2.0)
-        xs = np.array([-np.inf, -1.0, 0.0, 1.0, np.inf, np.nan])
-        batch = tails_from_mgf(dist.mgf, xs)
-        single = np.array([tail_from_mgf(dist.mgf, float(x)) for x in xs])
-        assert np.array_equal(batch, single)
-        assert batch[-2] == 0.0  # tail(+inf)
-        assert batch[-1] == 0.0  # NaN clamps like the scalar path
-        assert batch[0] == 1.0  # tail(-inf)
+        values = [tail_from_mgf(dist.mgf, x) for x in (-np.inf, -1.0, np.inf, np.nan)]
+        assert values == [1.0, 1.0, 0.0, 0.0]
 
 
 class TestAtomAtZero:
@@ -362,34 +326,29 @@ class TestQuantileSearchMemoization:
 
 
 class TestQuantilesBatch:
+    DISTS = [
+        ErlangTermSum.erlang(4, 2.0),
+        ErlangTermSum.erlang_mixture([0.3, 0.7], [2, 5], rate=3.0),
+        ErlangTermSum.exponential(1.5, weight=0.6, atom=0.4),
+    ]
+
     def test_identical_to_scalar_api(self):
-        dists = [
-            ErlangTermSum.erlang(4, 2.0),
-            ErlangTermSum.erlang_mixture([0.3, 0.7], [2, 5], rate=3.0),
-            ErlangTermSum.exponential(1.5, weight=0.6, atom=0.4),
-        ]
+        dists = self.DISTS
         batch = quantiles_from_mgfs(
-            [d.mgf for d in dists],
-            0.9999,
-            scale_hints=[d.mean() for d in dists],
-            atoms_at_zero=[d.atom_mass for d in dists],
+            [0.9999, 0.999, 0.9999],
+            [d.mean() for d in dists],
+            [d.atom_mass for d in dists],
+            stack_eval=_stack_of([d.mgf for d in dists]),
         )
         single = [
-            quantile_from_mgf(
-                d.mgf, 0.9999, scale_hint=d.mean(), atom_at_zero=d.atom_mass
-            )
-            for d in dists
+            quantile_from_mgf(d.mgf, p, scale_hint=d.mean(), atom_at_zero=d.atom_mass)
+            for d, p in zip(dists, [0.9999, 0.999, 0.9999])
         ]
         assert batch == single
 
-    def test_scalar_hint_broadcasts(self):
-        dists = [ErlangTermSum.erlang(2, 1.0), ErlangTermSum.erlang(3, 1.0)]
-        batch = quantiles_from_mgfs([d.mgf for d in dists], 0.999, scale_hints=1.0)
-        assert batch == [
-            quantile_from_mgf(d.mgf, 0.999, scale_hint=1.0) for d in dists
-        ]
-
     def test_rejects_mismatched_lengths(self):
-        dist = ErlangTermSum.erlang(2, 1.0)
+        dist = self.DISTS[0]
         with pytest.raises(ParameterError):
-            quantiles_from_mgfs([dist.mgf], 0.999, scale_hints=[1.0, 2.0])
+            quantiles_from_mgfs(
+                [0.999], [1.0, 2.0], [0.0], stack_eval=_stack_of([dist.mgf])
+            )

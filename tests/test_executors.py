@@ -9,8 +9,15 @@ executing it — in-process or in a worker process — produces floats bit-ident
 import asyncio
 import os
 import pickle
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 
 import pytest
+
+import repro
 
 from repro.core import rtt
 from repro.core.rtt import (
@@ -311,6 +318,55 @@ class TestParallelExecutor:
         with ParallelExecutor(workers=1) as executor:
             with pytest.raises(ParameterError):
                 executor.run([bad])
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+    def test_spawn_worker_exits_when_its_parent_is_killed(self):
+        # A spawn worker holds both ends of its call queue and never sees
+        # EOF; without the parent watch it outlives a SIGKILLed parent.
+        script = textwrap.dedent(
+            """
+            import time
+            from repro.core.rtt import compile_eval_plans
+            from repro.executors import ParallelExecutor
+            from repro.scenarios import get_scenario
+
+            executor = ParallelExecutor(workers=1, mp_context="spawn", timeout_s=60)
+            plans = compile_eval_plans([get_scenario("paper-dsl").model_at_load(0.4)], 0.999)
+            [result] = executor.run(plans)
+            print(result.worker_pid, flush=True)
+            time.sleep(60)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True, env=env
+        )
+        worker = None
+        try:
+            worker = int(parent.stdout.readline())
+            parent.send_signal(signal.SIGKILL)
+            parent.wait()
+            deadline = time.monotonic() + 5.0
+            while _process_alive(worker) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not _process_alive(worker)
+        finally:
+            if parent.poll() is None:
+                parent.kill()
+                parent.wait()
+            parent.stdout.close()
+            if worker is not None and _process_alive(worker):
+                os.kill(worker, signal.SIGKILL)
+
+
+def _process_alive(pid):
+    """Whether ``pid`` runs; a zombie no init has reaped yet counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 class TestParallelExecutorTimeout:

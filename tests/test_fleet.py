@@ -8,10 +8,12 @@ warm-cache answers — including across save/warm_start round trips.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.errors import ParameterError, StabilityError
+from repro.errors import ExecutorBrokenError, ParameterError, StabilityError
+from repro.executors import Executor, SerialExecutor
 from repro.fleet import Answer, Fleet, FleetStats, Request, gamers_key
 from repro.scenarios import PAPER_BASELINE, Scenario, get_scenario
 
@@ -692,6 +694,67 @@ class TestServeExecutor:
         assert all(a.cached for a in warm)
         assert fleet.stats.plans_executed == plans_before
         assert fleet.stats.remote_plans == 0  # the pool never spun up
+
+
+class _DamagingExecutor(Executor):
+    """Runs the plans serially, then hands ``damage(results)`` back."""
+
+    def __init__(self, damage):
+        self.damage = damage
+
+    def run(self, plans):
+        return self.damage(SerialExecutor().run(plans))
+
+
+class _DeadExecutor(Executor):
+    def run(self, plans):
+        raise ExecutorBrokenError("the pool died")
+
+
+BAD_HOST = "10.0.0.9:19333"
+
+
+def _damage_last(**changes):
+    def damage(results):
+        last = results[-1]
+        fields = {name: change(getattr(last, name)) for name, change in changes.items()}
+        return [*results[:-1], replace(last, host=BAD_HOST, **fields)]
+
+    return damage
+
+
+class TestMismatchedExecutorResults:
+    """Results that do not answer their plans are a broken executor."""
+
+    # Two plans: the inversion group and the dominant-pole request.
+    REQUESTS = [
+        Request("paper-dsl", downlink_load=0.3),
+        Request("cable", downlink_load=0.5),
+        Request("ftth", downlink_load=0.4, method="dominant-pole"),
+    ]
+
+    DAMAGES = {
+        "short-list": lambda results: results[:-1],
+        "short-values": _damage_last(values=lambda values: values[:-1]),
+        "mismatched-indices": _damage_last(indices=lambda indices: tuple(i + 1 for i in indices)),
+    }
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGES))
+    def test_raises_the_typed_error_and_leaves_no_trace(self, damage):
+        control = Fleet()
+        with pytest.raises(ExecutorBrokenError):
+            control.serve(self.REQUESTS, executor=_DeadExecutor())
+        fleet = Fleet()
+        with pytest.raises(ExecutorBrokenError) as raised:
+            fleet.serve(self.REQUESTS, executor=_DamagingExecutor(self.DAMAGES[damage]))
+        if damage != "short-list":
+            assert raised.value.host == BAD_HOST
+            assert BAD_HOST in str(raised.value)
+        # Exactly the state a dead pool leaves: the planning counters
+        # only, no plan folded in and nothing cached.
+        assert fleet.stats.as_dict() == control.stats.as_dict()
+        assert fleet.cached_keys() == []
+        assert fleet.serve(self.REQUESTS) == Fleet().serve(self.REQUESTS)
 
 
 class TestPlanCosts:

@@ -1,16 +1,15 @@
 """Property tests: the vectorized batch paths agree with the scalar path.
 
-The batched Euler inversion must be an optimisation, not an
+The vectorized Euler inversion must be an optimisation, not an
 approximation: across the access-profile presets of the registry and
-every quantile method, ``tails_from_mgf`` / the Engine batch path must
-return the very same floats the per-point (and per-abscissa scalar)
-evaluations produce.
+every quantile method, the array-call tails, the model kernel and the
+Engine batch path must return the very same floats the per-point (and
+per-abscissa scalar) evaluations produce.
 """
 
-import numpy as np
 import pytest
 
-from repro.core.inversion import quantile_from_mgf, tail_from_mgf, tails_from_mgf
+from repro.core.inversion import quantile_from_mgf, tail_from_mgf
 from repro.core.rtt import QUANTILE_METHODS
 from repro.engine import Engine
 from repro.scenarios import get_scenario
@@ -24,30 +23,20 @@ LOADS = (0.45, 0.7)
 
 @pytest.mark.parametrize("preset", PRESETS)
 class TestTailsAcrossPresets:
-    def test_batch_tails_match_scalar_path(self, preset):
+    def test_vectorized_tails_match_scalar_path(self, preset):
         model = get_scenario(preset).model_at_load(0.6)
-        xs = np.array([0.0, 1e-4, 1e-3, 5e-3, 2e-2])
-        batch = tails_from_mgf(
-            model.queueing_mgf, xs, atom_at_zero=model.queueing_atom
-        )
-        scalar = np.array(
-            [
-                tail_from_mgf(
-                    scalar_only(model.queueing_mgf),
-                    float(x),
-                    atom_at_zero=model.queueing_atom,
-                )
-                for x in xs
-            ]
-        )
-        assert np.array_equal(batch, scalar)
-
-    def test_model_queueing_tails_helper(self, preset):
-        model = get_scenario(preset).model_at_load(0.6)
-        xs = np.array([1e-3, 5e-3, 1e-2])
-        batch = model.queueing_tails(xs)
-        single = np.array([model.queueing_tail(float(x)) for x in xs])
-        assert np.array_equal(batch, single)
+        xs = [0.0, 1e-4, 1e-3, 5e-3, 2e-2]
+        vectorized = [
+            tail_from_mgf(model.queueing_mgf, x, atom_at_zero=model.queueing_atom) for x in xs
+        ]
+        scalar = [
+            tail_from_mgf(
+                scalar_only(model.queueing_mgf), x, atom_at_zero=model.queueing_atom
+            )
+            for x in xs
+        ]
+        assert vectorized == scalar
+        assert [model.queueing_tail(x) for x in xs] == vectorized
 
     def test_vectorized_quantile_matches_scalar_path(self, preset):
         model = get_scenario(preset).model_at_load(0.6)

@@ -75,12 +75,7 @@ def test_kernel_tail_is_the_generic_and_the_stacked_float(model):
     assert kernel == [_reference_tail(model, t) for t in POINTS]
     positive = [t for t in POINTS if 0.0 < t < math.inf]
     stacked = _stacked_tail_rows(
-        QueueingMgfStack([model]),
-        np.zeros(len(positive), dtype=np.intp),
-        np.asarray(positive),
-        _EULER_A,
-        _EULER_N,
-        _EULER_M,
+        QueueingMgfStack([model]), np.zeros(len(positive), dtype=np.intp), np.asarray(positive)
     )
     assert [model.queueing_tail(t) for t in positive] == [float(v) for v in stacked]
 

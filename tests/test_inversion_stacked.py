@@ -1,28 +1,22 @@
 """Property tests: the stacked cross-model paths agree with the scalar path.
 
 The stacked evaluator collapses the (model, abscissa) plane into single
-joint array evaluations; like the PR 2 vectorization it must be an
-optimisation, not an approximation — across heterogeneous presets the
-stacked tails and the lockstep quantile searches must return the very
-same floats as the per-model API.
+joint array evaluations; it must be an optimisation, not an
+approximation — across heterogeneous presets the stacked tail rows and
+the lockstep quantile searches must return the very same floats as the
+per-model API.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.inversion import (
+    _stacked_tail_rows,
     quantile_from_mgf,
     quantiles_from_mgfs,
     tail_from_mgf,
-    tails_from_mgf,
-    tails_from_mgfs,
 )
-from repro.core.rtt import (
-    QueueingMgfStack,
-    batch_queueing_tails,
-    reset_stacked_eval_count,
-    stacked_eval_count,
-)
+from repro.core.rtt import QueueingMgfStack, compile_eval_plans, execute_plan
 from repro.errors import ParameterError
 from repro.scenarios import get_scenario
 
@@ -77,146 +71,87 @@ class TestQueueingMgfStack:
     def test_counts_array_calls(self):
         models = _mixed_models()
         stack = QueueingMgfStack(models)
-        before = stacked_eval_count()
         stack(np.array([[1.0 + 0.0j]]), np.array([0]))
         stack(np.array([[1.0 + 0.0j]]), np.array([1]))
         assert stack.array_calls == 2
-        assert stacked_eval_count() - before == 2
 
 
-class TestStackedTails:
-    def test_tails_from_mgfs_without_stack_matches_per_transform(self):
-        models = _mixed_models()[:4]
-        xs = np.array([0.0, 1e-4, 2e-3, 1e-2])
-        batch = tails_from_mgfs(
-            [m.queueing_mgf for m in models],
-            xs,
-            atoms_at_zero=[m.queueing_atom for m in models],
-        )
-        for model, tails in zip(models, batch):
-            reference = tails_from_mgf(
-                model.queueing_mgf, xs, atom_at_zero=model.queueing_atom
-            )
-            assert np.array_equal(tails, reference)
-
-    def test_tails_from_mgfs_with_stack_matches_scalar_path(self):
+class TestStackedTailRows:
+    def test_rows_match_the_scalar_path_in_one_call(self):
+        # Any (model, point) rows, in any order, cost one joint call.
         models = _mixed_models()
         stack = QueueingMgfStack(models)
-        xs = np.array([0.0, 5e-4, 3e-3, 2e-2, np.inf, -1.0])
-        batch = tails_from_mgfs(
-            [m.queueing_mgf for m in models],
-            xs,
-            atoms_at_zero=stack.atoms_at_zero(),
-            stack_eval=stack,
-        )
-        assert stack.array_calls == 1  # the whole plane in one call
-        for model, tails in zip(models, batch):
-            reference = np.array(
-                [
-                    tail_from_mgf(
-                        model.queueing_mgf, float(x), atom_at_zero=model.queueing_atom
-                    )
-                    for x in xs
-                ]
+        indices = np.array([0, 5, 5, 11, 3, 0], dtype=np.intp)
+        ts = np.array([5e-4, 3e-3, 2e-2, 1e-3, 4e-3, 2e-2])
+        rows = _stacked_tail_rows(stack, indices, ts)
+        assert stack.array_calls == 1
+        reference = [
+            tail_from_mgf(
+                models[i].queueing_mgf, float(t), atom_at_zero=models[i].queueing_atom
             )
-            assert np.array_equal(tails, reference)
+            for i, t in zip(indices, ts)
+        ]
+        assert [float(v) for v in rows] == reference
 
-    def test_per_transform_grids(self):
-        models = _mixed_models()[:3]
-        stack = QueueingMgfStack(models)
-        grids = [np.array([1e-3]), np.array([2e-3, 4e-3]), np.array([1e-2, 2e-2, 3e-2])]
-        batch = tails_from_mgfs(
-            [m.queueing_mgf for m in models],
-            grids,
-            atoms_at_zero=stack.atoms_at_zero(),
-            stack_eval=stack,
+
+def _quantiles(models, probabilities, stack_eval=None):
+    """quantiles_from_mgfs over a stack of ``models``, one level each."""
+    return quantiles_from_mgfs(
+        probabilities,
+        [m._inversion_scale_hint for m in models],
+        [m.queueing_atom for m in models],
+        stack_eval=QueueingMgfStack(models) if stack_eval is None else stack_eval,
+    )
+
+
+def _scalar_quantiles(models, probabilities):
+    return [
+        quantile_from_mgf(
+            m.queueing_mgf,
+            p,
+            scale_hint=m._inversion_scale_hint,
+            atom_at_zero=m.queueing_atom,
         )
-        for model, grid, tails in zip(models, grids, batch):
-            assert tails.shape == grid.shape
-            reference = model.queueing_tails(grid)
-            assert np.array_equal(tails, reference)
-
-    def test_batch_queueing_tails_helper(self):
-        models = _mixed_models()
-        xs = np.array([1e-3, 5e-3, 1.5e-2])
-        batch = batch_queueing_tails(models, xs)
-        for model, tails in zip(models, batch):
-            reference = np.array([model.queueing_tail(float(x)) for x in xs])
-            assert np.array_equal(tails, reference)
-
-    def test_flat_scalar_list_is_a_shared_grid(self):
-        # A flat list of scalars is a shared grid even when its length
-        # coincidentally equals the model count — per-model grids must
-        # be given as array-likes.
-        models = _mixed_models()[:2]
-        batch = batch_queueing_tails(models, [1e-3, 5e-3])
-        for model, tails in zip(models, batch):
-            assert tails.shape == (2,)
-            assert np.array_equal(
-                tails, np.array([model.queueing_tail(1e-3), model.queueing_tail(5e-3)])
-            )
+        for m, p in zip(models, probabilities)
+    ]
 
 
 class TestLockstepQuantiles:
     def test_lockstep_matches_scalar_search_bitwise(self):
         models = _mixed_models()
-        stack = QueueingMgfStack(models)
-        stacked = quantiles_from_mgfs(
-            [m.queueing_mgf for m in models],
-            PROBABILITY,
-            scale_hints=stack.scale_hints(),
-            atoms_at_zero=stack.atoms_at_zero(),
-            stack_eval=stack,
-        )
-        scalar = [
-            quantile_from_mgf(
-                m.queueing_mgf,
-                PROBABILITY,
-                scale_hint=m._inversion_scale_hint,
-                atom_at_zero=m.queueing_atom,
-            )
-            for m in models
-        ]
-        assert stacked == scalar
+        levels = [PROBABILITY] * len(models)
+        assert _quantiles(models, levels) == _scalar_quantiles(models, levels)
+
+    def test_mix_models_and_mixed_levels_match_scalar_search_bitwise(self):
+        mix = get_scenario("multi-game-dsl")
+        models = [mix.model_at_load(load) for load in (0.2, 0.45, 0.7)]
+        levels = [0.99, 0.999, PROBABILITY]
+        assert _quantiles(models, levels) == _scalar_quantiles(models, levels)
 
     def test_chunking_does_not_change_the_floats(self):
         # A search's trajectory does not depend on its round mates.
-        def lockstep(models):
-            stack = QueueingMgfStack(models)
-            return quantiles_from_mgfs(
-                [m.queueing_mgf for m in models],
-                PROBABILITY,
-                scale_hints=stack.scale_hints(),
-                atoms_at_zero=stack.atoms_at_zero(),
-                stack_eval=stack,
-            )
-
         models = _mixed_models()[:5]
-        assert lockstep(models) == lockstep(models[:2]) + lockstep(models[2:])
+        levels = [PROBABILITY] * len(models)
+        assert _quantiles(models, levels) == (
+            _quantiles(models[:2], levels[:2]) + _quantiles(models[2:], levels[2:])
+        )
 
     def test_lockstep_uses_fewer_array_calls(self):
         models = _mixed_models()
         stack = QueueingMgfStack(models)
-        quantiles_from_mgfs(
-            [m.queueing_mgf for m in models],
-            PROBABILITY,
-            scale_hints=stack.scale_hints(),
-            atoms_at_zero=stack.atoms_at_zero(),
-            stack_eval=stack,
-        )
+        _quantiles(models, [PROBABILITY] * len(models), stack_eval=stack)
         # A per-model dispatch costs >= ~20 array calls per model; the
         # lockstep needs one call per search round only.
         assert stack.array_calls < 3 * len(models)
 
-    def test_without_stack_delegates_to_sequential(self):
+    def test_special_points_are_answered_without_the_stack(self):
+        # A search whose tail at zero already meets the target stops at
+        # 0.0 on the closed-form atom answer, without a joint call.
         models = _mixed_models()[:2]
-        mgfs = [m.queueing_mgf for m in models]
-        hints = [m._inversion_scale_hint for m in models]
-        atoms = [m.queueing_atom for m in models]
-        assert quantiles_from_mgfs(mgfs, PROBABILITY, hints, atoms) == [
-            quantile_from_mgf(mgf, PROBABILITY, hint, atom_at_zero=atom)
-            for mgf, hint, atom in zip(mgfs, hints, atoms)
-        ]
+        stack = QueueingMgfStack(models)
+        quantiles = quantiles_from_mgfs([0.3, 0.4], [1e-3, 1e-3], [0.8, 1.0], stack_eval=stack)
+        assert quantiles == [0.0, 0.0]
+        assert stack.array_calls == 0
 
     def test_stack_eval_failure_propagates_without_deadlock(self):
         models = _mixed_models()[:3]
@@ -225,32 +160,22 @@ class TestLockstepQuantiles:
             raise RuntimeError("joint evaluation exploded")
 
         with pytest.raises(RuntimeError, match="joint evaluation exploded"):
-            quantiles_from_mgfs(
-                [m.queueing_mgf for m in models],
-                PROBABILITY,
-                scale_hints=[m._inversion_scale_hint for m in models],
-                atoms_at_zero=[m.queueing_atom for m in models],
-                stack_eval=broken,
-            )
+            _quantiles(models, [PROBABILITY] * len(models), stack_eval=broken)
 
     def test_invalid_probability_raises(self):
+        models = _mixed_models()[:2]
+        with pytest.raises(ParameterError):
+            _quantiles(models, [PROBABILITY, 1.5])
+
+    def test_mismatched_lengths_raise(self):
         models = _mixed_models()[:2]
         stack = QueueingMgfStack(models)
         with pytest.raises(ParameterError):
             quantiles_from_mgfs(
-                [m.queueing_mgf for m in models],
-                1.5,
-                scale_hints=stack.scale_hints(),
-                atoms_at_zero=stack.atoms_at_zero(),
-                stack_eval=stack,
+                [PROBABILITY] * 2, [1.0], [m.queueing_atom for m in models], stack_eval=stack
             )
-
-    def test_mismatched_hint_lengths_raise(self):
-        models = _mixed_models()[:2]
         with pytest.raises(ParameterError):
-            quantiles_from_mgfs(
-                [m.queueing_mgf for m in models], PROBABILITY, scale_hints=[1.0]
-            )
+            quantiles_from_mgfs([PROBABILITY], [1.0, 2.0], [0.0, 0.0], stack_eval=stack)
 
 
 class TestPlanQuantiles:
@@ -270,9 +195,8 @@ class TestPlanQuantiles:
         reference = [m.rtt_quantile(PROBABILITY) for m in models]
         assert batch == reference
 
-    def test_batch_spends_one_stacked_group_per_signature(self, plan_quantiles):
+    def test_batch_spends_one_stacked_group_per_signature(self):
         models = _mixed_models()
-        reset_stacked_eval_count()
-        plan_quantiles(models, PROBABILITY)
-        calls = stacked_eval_count()
+        [plan] = compile_eval_plans(models, PROBABILITY)
+        calls = execute_plan(plan).stacked_mgf_calls
         assert 0 < calls < 3 * len(models)
