@@ -175,6 +175,53 @@ def _stack_of(mgfs):
     return stack_eval
 
 
+class TestTailsBatch:
+    """_stacked_tail_rows: a whole grid of points per joint array call."""
+
+    def test_matches_single_point_evaluations_bitwise(self):
+        dist = ErlangTermSum.erlang_mixture([0.2, 0.5, 0.3], [2, 4, 7], rate=3.0)
+        xs = np.array([1e-3, 0.5, 2.0, 6.0])
+        rows = _stacked_tail_rows(_stack_of([dist.mgf]), np.zeros(4, dtype=np.intp), xs)
+        assert [float(v) for v in rows] == [tail_from_mgf(dist.mgf, float(x)) for x in xs]
+
+    def test_one_mgf_call_for_the_whole_grid(self):
+        dist = ErlangTermSum.erlang(4, 2.0)
+        counting = CountingMgf(dist.mgf)
+        xs = np.linspace(0.1, 3.0, 12)
+        rows = _stacked_tail_rows(
+            lambda s, indices: counting(s), np.zeros(12, dtype=np.intp), xs
+        )
+        assert counting.calls == 1
+        assert counting.arguments[0].shape == (12, 35)
+        assert [float(v) for v in rows] == [tail_from_mgf(dist.mgf, float(x)) for x in xs]
+
+    def test_scalar_only_mgf_falls_back_per_point(self):
+        dist = ErlangTermSum.erlang(4, 2.0)
+        xs = (0.2, 1.0, 2.5)
+        fallback = [tail_from_mgf(scalar_only(dist.mgf), x) for x in xs]
+        rows = _stacked_tail_rows(
+            _stack_of([dist.mgf]), np.zeros(3, dtype=np.intp), np.array(xs)
+        )
+        assert fallback == [float(v) for v in rows]
+
+    def test_scalar_input_returns_float(self):
+        dist = ErlangTermSum.exponential(2.0)
+        value = tail_from_mgf(dist.mgf, 1.0)
+        assert isinstance(value, float)
+        [row] = _stacked_tail_rows(
+            _stack_of([dist.mgf]), np.zeros(1, dtype=np.intp), np.array([1.0])
+        )
+        assert value == float(row)
+
+    def test_preserves_shape_and_clamps(self):
+        dists = [ErlangTermSum.erlang(2, 1.0), ErlangTermSum.erlang(5, 0.5)]
+        indices = np.array([0, 1, 1, 0], dtype=np.intp)
+        xs = np.array([0.5, 1.0, 2.0, 40.0])
+        rows = _stacked_tail_rows(_stack_of([d.mgf for d in dists]), indices, xs)
+        assert rows.shape == xs.shape
+        assert np.all((rows >= 0.0) & (rows <= 1.0))
+
+
 class TestTailFallbacksAndClamps:
     def test_scalar_fallback_honours_euler_parameters(self):
         # Regression: the fallback used to drop a/plain_terms/euler_terms

@@ -7,10 +7,11 @@ Engine batch path must return the very same floats the per-point (and
 per-abscissa scalar) evaluations produce.
 """
 
+import numpy as np
 import pytest
 
-from repro.core.inversion import quantile_from_mgf, tail_from_mgf
-from repro.core.rtt import QUANTILE_METHODS
+from repro.core.inversion import _stacked_tail_rows, quantile_from_mgf, tail_from_mgf
+from repro.core.rtt import QUANTILE_METHODS, QueueingMgfStack
 from repro.engine import Engine
 from repro.scenarios import get_scenario
 from repro.testing import scalar_only
@@ -37,6 +38,15 @@ class TestTailsAcrossPresets:
         ]
         assert vectorized == scalar
         assert [model.queueing_tail(x) for x in xs] == vectorized
+
+    def test_model_queueing_tails_helper(self, preset):
+        # The stacked rows of a one-model stack are the model's own tails.
+        model = get_scenario(preset).model_at_load(0.6)
+        xs = np.array([1e-3, 5e-3, 1e-2])
+        rows = _stacked_tail_rows(
+            QueueingMgfStack([model]), np.zeros(len(xs), dtype=np.intp), xs
+        )
+        assert [float(v) for v in rows] == [model.queueing_tail(float(x)) for x in xs]
 
     def test_vectorized_quantile_matches_scalar_path(self, preset):
         model = get_scenario(preset).model_at_load(0.6)

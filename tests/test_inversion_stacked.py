@@ -93,6 +93,27 @@ class TestStackedTailRows:
         ]
         assert [float(v) for v in rows] == reference
 
+    def test_per_transform_grids(self):
+        # Each model's own grid, of its own length, in one joint call.
+        models = _mixed_models()[:3]
+        stack = QueueingMgfStack(models)
+        grids = [[1e-3], [2e-3, 4e-3], [1e-2, 2e-2, 3e-2]]
+        indices = np.repeat(np.arange(3), [len(g) for g in grids])
+        rows = _stacked_tail_rows(stack, indices, np.concatenate(grids))
+        assert stack.array_calls == 1
+        per_model = np.split(rows, np.cumsum([len(g) for g in grids])[:-1])
+        for model, grid, tails in zip(models, grids, per_model):
+            assert [float(v) for v in tails] == [model.queueing_tail(x) for x in grid]
+
+    def test_shared_grid_matches_model_queueing_tail(self):
+        models = _mixed_models()
+        stack = QueueingMgfStack(models)
+        xs = np.array([1e-3, 5e-3, 1.5e-2])
+        indices = np.repeat(np.arange(len(models)), len(xs))
+        rows = _stacked_tail_rows(stack, indices, np.tile(xs, len(models)))
+        for model, tails in zip(models, rows.reshape(len(models), len(xs))):
+            assert [float(v) for v in tails] == [model.queueing_tail(float(x)) for x in xs]
+
 
 def _quantiles(models, probabilities, stack_eval=None):
     """quantiles_from_mgfs over a stack of ``models``, one level each."""
